@@ -17,7 +17,8 @@ namespace roccc {
 
 // Bump on any change to code generation, key derivation, or the entry
 // serialization below. Old tier-2 stores then read as silent misses.
-const char* const kCacheSchema = "roccc-cache-v2";
+// v3: every entry serializes a `derived` blob.
+const char* const kCacheSchema = "roccc-cache-v3";
 
 // --- key derivation ----------------------------------------------------------
 
@@ -35,10 +36,6 @@ std::string normalizeSourceForKey(std::string_view source) {
   return out;
 }
 
-namespace {
-
-/// Bit-exact double rendering (hex of the IEEE-754 payload): "4.0" and a
-/// value that merely prints as 4.0 must not collide.
 std::string doubleBits(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -46,7 +43,19 @@ std::string doubleBits(double v) {
   return buf;
 }
 
-} // namespace
+bool parseDoubleBits(std::string_view hex, double& out) {
+  if (hex.size() != 16) return false;
+  uint64_t bits = 0;
+  for (const char c : hex) {
+    int digit = 0;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else return false;
+    bits = bits << 4 | static_cast<uint64_t>(digit);
+  }
+  out = std::bit_cast<double>(bits);
+  return true;
+}
 
 std::string canonicalizeOptions(const CompileOptions& o) {
   std::ostringstream s;
@@ -112,7 +121,7 @@ int64_t CacheEntry::byteSize() const {
   // small fixed overhead per container element.
   int64_t n = 128;
   n += static_cast<int64_t>(failedPass.size() + vhdl.size() + verilog.size() +
-                            transformedSource.size());
+                            transformedSource.size() + derived.size());
   for (const auto& d : diags) n += 48 + static_cast<int64_t>(d.message.size());
   for (const auto& p : passLog) {
     n += 96 + static_cast<int64_t>(p.name.size());
@@ -205,6 +214,7 @@ std::string serializeEntry(const std::string& key, const CacheEntry& e) {
   putBlob(out, "transformed-source", e.transformedSource);
   putBlob(out, "vhdl", e.vhdl);
   putBlob(out, "verilog", e.verilog);
+  putBlob(out, "derived", e.derived);
   out << "diags " << e.diags.size() << '\n';
   for (const auto& d : e.diags) {
     out << "d " << static_cast<int>(d.severity) << ' ' << d.loc.line << ' ' << d.loc.column << ' '
@@ -294,6 +304,7 @@ std::optional<CacheEntry> parseEntry(const std::string& data, const std::string&
   if (!readBlob("transformed-source", e.transformedSource)) return std::nullopt;
   if (!readBlob("vhdl", e.vhdl)) return std::nullopt;
   if (!readBlob("verilog", e.verilog)) return std::nullopt;
+  if (!readBlob("derived", e.derived)) return std::nullopt;
 
   if (!r.literal("diags ") || !r.number(n) || n < 0 || !r.literal("\n")) return std::nullopt;
   for (int64_t i = 0; i < n; ++i) {
@@ -516,8 +527,14 @@ std::shared_ptr<const CacheEntry> CompileCache::lookup(const std::string& key) {
 void CompileCache::insert(const std::string& key, CacheEntry entry) {
   auto shared = std::make_shared<const CacheEntry>(std::move(entry));
   Shard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  insertLocked(shard, key, std::move(shared));
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    insertLocked(shard, key, shared);
+  }
+  if (disk_ && disk_->store(key, *shared)) {
+    std::lock_guard<std::mutex> statsLock(statsMutex_);
+    ++stats_.diskStores;
+  }
 }
 
 CompileResult CompileCache::getOrCompute(const std::string& key, const CompileOptions& options,

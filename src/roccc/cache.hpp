@@ -30,11 +30,13 @@
 //
 // Tier 1 is an in-process sharded-mutex LRU with a byte budget; entries are
 // whole CompileResult artifact sets (VHDL/Verilog bytes, pass log,
-// diagnostics, outcome). Tier 2 is an optional on-disk store (roccc-cc
-// --cache-dir) that survives across processes and CI runs; writes go to a
-// temp file then rename into place (atomic on POSIX), and both the store
-// manifest and each entry carry the schema version — corruption or a
-// version mismatch reads as a silent miss, never an error.
+// diagnostics, outcome), or derived entries a consumer keys itself (an
+// opaque blob — roccc::runSweep's per-point metrics). Tier 2 is an
+// optional on-disk store (roccc-cc --cache-dir) that survives across
+// processes and CI runs; writes go to a temp file then rename into place
+// (atomic on POSIX), and both the store manifest and each entry carry the
+// schema version — corruption or a version mismatch reads as a silent
+// miss, never an error.
 //
 // getOrCompute() is single-flight per key: when N in-flight jobs share a
 // key, one caller (the leader) runs the compile while the other N-1 block
@@ -79,6 +81,13 @@ std::string normalizeSourceForKey(std::string_view source);
 /// The content-addressed key for one (source, options) compile.
 std::string computeCacheKey(std::string_view source, const CompileOptions& options);
 
+/// Bit-exact double rendering: the 16 hex digits of the IEEE-754 payload,
+/// the spelling keys and derived blobs use so that "4.0" and a value that
+/// merely prints as 4.0 neither collide nor round-trip apart.
+std::string doubleBits(double v);
+/// Inverse of doubleBits; false unless `hex` is exactly 16 hex digits.
+bool parseDoubleBits(std::string_view hex, double& out);
+
 /// The artifact set a cache entry stores — everything in a CompileResult
 /// that outlives the compile (the heavyweight in-memory IRs — AST, MIR,
 /// data path, RTL netlist — are deliberately not captured; a hit
@@ -91,6 +100,10 @@ struct CacheEntry {
   std::string transformedSource;
   std::vector<Diagnostic> diags;
   std::vector<PassStatistics> passLog; ///< snapshots stripped
+  /// Opaque bytes a consumer computed from a compile and stored under its
+  /// own key (roccc::runSweep's per-point metrics; docs/CACHING.md). Empty
+  /// for compile entries, and never materialized into a CompileResult.
+  std::string derived;
 
   /// Bytes this entry charges against the tier-1 budget.
   int64_t byteSize() const;
@@ -149,7 +162,9 @@ class CompileCache {
 
   /// Direct probe (tier 1 then tier 2), no compute, no single-flight.
   std::shared_ptr<const CacheEntry> lookup(const std::string& key);
-  /// Unconditional insert (tests and tools; getOrCompute is the driver path).
+  /// Unconditional insert into tier 1 and, when configured, tier 2 — no
+  /// isCacheable check, the caller decides (derived entries, tests; compile
+  /// results go through getOrCompute).
   void insert(const std::string& key, CacheEntry entry);
 
   CacheStats stats() const;

@@ -75,6 +75,32 @@ CompileService::CompileService(int workers) : workers_(workers) {
   }
 }
 
+CompileResult CompileService::compile(const CompileJob& job, bool* wasHit) const {
+  if (wasHit) *wasHit = false;
+  // With a cache attached the job first derives its content-addressed key
+  // (on the worker thread — hashing is part of the job, not the submit
+  // loop); getOrCompute single-flights concurrent identical jobs onto one
+  // compile. Without one, the job body runs unconditionally.
+  if (!cache_) return runContainedJob(job);
+  const std::string key = computeCacheKey(job.source, job.options);
+  return cache_->getOrCompute(key, job.options, [&job] { return runContainedJob(job); }, wasHit);
+}
+
+void CompileService::forEach(size_t n, const std::function<void(size_t)>& task) const {
+  if (workers_ == 1) {
+    // Serial reference path: no pool, caller's thread. jobs=1 vs jobs=N
+    // byte-equality in the determinism tests compares exactly this path
+    // against the pooled one.
+    for (size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  ThreadPool pool(static_cast<size_t>(workers_));
+  std::vector<std::future<void>> pending;
+  pending.reserve(n);
+  for (size_t i = 0; i < n; ++i) pending.push_back(pool.submit([&task, i] { task(i); }));
+  for (auto& f : pending) f.get(); // tasks never throw; futures only order completion
+}
+
 BatchResult CompileService::compileBatch(const std::vector<CompileJob>& jobs) const {
   BatchResult batch;
   batch.workers = workers_;
@@ -86,45 +112,18 @@ BatchResult CompileService::compileBatch(const std::vector<CompileJob>& jobs) co
   // Job order == result order by construction, so completion order (which
   // does vary with scheduling) is unobservable.
   //
-  // The pipeline contains failures at the pass edge; the try/catch here is
-  // the driver's own last line: whatever still escapes a job (including the
-  // armed "driver.job" fault point) becomes an InternalError in that job's
-  // slot. No job can take down the batch, wedge its worker, or disturb a
-  // sibling's result.
+  // The pipeline contains failures at the pass edge; runContainedJob's
+  // try/catch is the driver's own last line: whatever still escapes a job
+  // (including the armed "driver.job" fault point) becomes an
+  // InternalError in that job's slot. No job can take down the batch,
+  // wedge its worker, or disturb a sibling's result.
   std::atomic<int> cacheHits{0};
   std::atomic<int> cacheMisses{0};
-  auto compileJob = [&jobs](size_t i) -> CompileResult { return runContainedJob(jobs[i]); };
-  // With a cache attached, each job first derives its content-addressed key
-  // (on the worker thread — hashing is part of the job, not the submit
-  // loop); getOrCompute single-flights concurrent identical jobs onto one
-  // compile. Without one, the job body runs unconditionally, exactly as
-  // before the cache existed.
-  auto runJob = [this, &jobs, &batch, &compileJob, &cacheHits, &cacheMisses](size_t i) {
-    if (cache_) {
-      const std::string key = computeCacheKey(jobs[i].source, jobs[i].options);
-      bool wasHit = false;
-      batch.results[i] =
-          cache_->getOrCompute(key, jobs[i].options, [&] { return compileJob(i); }, &wasHit);
-      (wasHit ? cacheHits : cacheMisses).fetch_add(1, std::memory_order_relaxed);
-    } else {
-      batch.results[i] = compileJob(i);
-    }
-  };
-
-  if (workers_ == 1) {
-    // Serial reference path: no pool, caller's thread. jobs=1 vs jobs=N
-    // byte-equality in the determinism tests compares exactly this path
-    // against the pooled one.
-    for (size_t i = 0; i < jobs.size(); ++i) runJob(i);
-  } else {
-    ThreadPool pool(static_cast<size_t>(workers_));
-    std::vector<std::future<void>> pending;
-    pending.reserve(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      pending.push_back(pool.submit([&runJob, i] { runJob(i); }));
-    }
-    for (auto& f : pending) f.get(); // jobs never throw; futures only order completion
-  }
+  forEach(jobs.size(), [&](size_t i) {
+    bool wasHit = false;
+    batch.results[i] = compile(jobs[i], &wasHit);
+    if (cache_) (wasHit ? cacheHits : cacheMisses).fetch_add(1, std::memory_order_relaxed);
+  });
 
   batch.wallMs = timer.elapsedMs();
   batch.cacheHits = cacheHits.load();

@@ -29,6 +29,7 @@
 // jobs keep the byte-determinism guarantee (tests/fault_injection_test.cpp).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,7 +88,20 @@ class CompileService {
 
   /// Compiles every job and returns per-job results in job order. Safe to
   /// call from multiple threads; batches share the pool but never results.
+  /// This is forEach over compile().
   BatchResult compileBatch(const std::vector<CompileJob>& jobs) const;
+
+  /// One job on the calling thread: through the attached cache (key on
+  /// this thread, then getOrCompute, single-flighted) or straight through
+  /// runContainedJob when none is attached. `wasHit`, when non-null, says
+  /// whether the result came from the cache — and so carries no IR.
+  CompileResult compile(const CompileJob& job, bool* wasHit = nullptr) const;
+
+  /// Runs task(0) .. task(n-1) on the service's workers and returns once
+  /// all have finished; with one worker they run in order on the caller's
+  /// thread. Tasks must not throw, and each must write only its own slot —
+  /// the same discipline compileBatch's jobs keep.
+  void forEach(size_t n, const std::function<void(size_t)>& task) const;
 
   /// Attaches a compile-result cache (src/roccc/cache.hpp). Jobs whose
   /// content-addressed key is already cached are served without compiling;

@@ -8,6 +8,7 @@
 
 #include "roccc/cache.hpp"
 #include "rtl/system.hpp"
+#include "support/hash.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "synth/estimate.hpp"
@@ -423,6 +424,50 @@ double metricValue(const PointMetrics& m, SweepAxis axis) {
 
 namespace {
 
+/// Names the metrics-entry encoding and what feeds it; bump on any change
+/// to either so stored metrics miss instead of decoding into the wrong
+/// fields.
+constexpr const char* kPointMetricsSchema = "roccc-point-metrics-v1";
+
+/// The metrics key: everything a point's metrics are a pure function of —
+/// the compile key (source, options, compiler schema) plus the buffer
+/// geometry and the stimulus the FastSim run sees.
+std::string metricsKey(const SweepPoint& point, const SweepOptions& opt) {
+  Sha256 h;
+  h.update(kPointMetricsSchema);
+  h.update("\n");
+  h.update(computeCacheKey(point.source, point.options));
+  h.update(fmt("\nbusElems=%0;smartBuffer=%1;seed=%2;collectCycles=%3;", point.config.busElems,
+               point.config.smartBuffer ? 1 : 0, opt.seed, opt.collectCycles ? 1 : 0));
+  return h.hex();
+}
+
+/// Fixed field order, integers in decimal and doubles as doubleBits, so a
+/// decoded PointMetrics is bit-identical to the encoded one.
+std::string encodeMetrics(const PointMetrics& m) {
+  return fmt("%0 %1 %2 %3 %4 %5 %6 %7 %8 %9 ", m.slices, m.lut4, m.ff, m.mult18, m.bram,
+             m.stages, m.pipelineRegBits, m.balanceRegBits, m.cycles, m.bramReads) +
+         fmt("%0 %1 %2 %3 %4", doubleBits(m.criticalPathNs), doubleBits(m.fmaxMHz),
+             doubleBits(m.throughput), doubleBits(m.energyPjPerCycle), doubleBits(m.edpPjNs));
+}
+
+/// Strict inverse of encodeMetrics; `out` is written only on success.
+bool decodeMetrics(const std::string& blob, PointMetrics& out) {
+  PointMetrics m;
+  std::istringstream in(blob);
+  in >> m.slices >> m.lut4 >> m.ff >> m.mult18 >> m.bram >> m.stages >> m.pipelineRegBits >>
+      m.balanceRegBits >> m.cycles >> m.bramReads;
+  for (double* d : {&m.criticalPathNs, &m.fmaxMHz, &m.throughput, &m.energyPjPerCycle,
+                    &m.edpPjNs}) {
+    std::string hex;
+    if (!(in >> hex) || !parseDoubleBits(hex, *d)) return false;
+  }
+  std::string rest;
+  if (in >> rest) return false;
+  out = m;
+  return true;
+}
+
 /// Collects one Ok point's metrics. `r` must carry the in-memory IR (a
 /// fresh compile, not a cache hit). Throws nothing: simulation failures
 /// come back as a SimError outcome on the result row.
@@ -475,6 +520,64 @@ void collectMetrics(const SweepPoint& point, const CompileResult& r, uint64_t se
   }
 }
 
+enum class PointSource { Compiled, CompileHit, MetricsHit };
+
+/// One point, start to finish, on the worker that runs it: served from its
+/// metrics entry when the cache holds one; otherwise compiled (a compile
+/// hit carries artifact bytes but no IR, so it is rebuilt here — the
+/// determinism guarantee makes the rebuild byte-equivalent), measured, and
+/// stored as a metrics entry. The IR dies with the call.
+SweepPointResult runPoint(const CompileService& service, const SweepPoint& point,
+                          const SweepOptions& opt, PointSource& source) {
+  SweepPointResult row;
+  row.point = point;
+  CompileCache* cache = service.cache().get();
+  std::string key;
+  if (cache) {
+    key = metricsKey(point, opt);
+    if (const auto entry = cache->lookup(key); entry && decodeMetrics(entry->derived, row.metrics)) {
+      for (const auto& p : entry->passLog) row.compileMs += p.wallMs;
+      source = PointSource::MetricsHit;
+      return row;
+    }
+  }
+
+  const CompileJob job{point.label, point.source, point.options};
+  bool wasHit = false;
+  CompileResult r = service.compile(job, &wasHit);
+  source = wasHit ? PointSource::CompileHit : PointSource::Compiled;
+  row.outcome = pointOutcomeFrom(r.outcome);
+  for (const auto& p : r.passLog) row.compileMs += p.wallMs;
+  if (row.outcome != PointOutcome::Ok) {
+    for (const auto& d : r.diags.all()) {
+      if (d.severity == Severity::Error) {
+        row.error = d.str();
+        break;
+      }
+    }
+    if (row.error.empty() && !r.failedPass.empty()) {
+      row.error = fmt("%0 in pass %1", compileOutcomeName(r.outcome), r.failedPass);
+    }
+    return row;
+  }
+  std::vector<PassStatistics> passLog = std::move(r.passLog);
+  if (wasHit) {
+    r = runContainedJob(job);
+    row.outcome = pointOutcomeFrom(r.outcome);
+    if (row.outcome != PointOutcome::Ok) return row;
+  }
+  collectMetrics(point, r, opt.seed, opt.collectCycles, row);
+  // Only a measured Ok row of a cacheable compile is stored: fault-armed
+  // points and SimError rows recompute every time.
+  if (cache && row.outcome == PointOutcome::Ok && isCacheable(r, point.options)) {
+    CacheEntry entry;
+    entry.passLog = std::move(passLog);
+    entry.derived = encodeMetrics(row.metrics);
+    cache->insert(key, std::move(entry));
+  }
+  return row;
+}
+
 } // namespace
 
 SweepResult runSweep(const std::vector<SweepPoint>& points, const SweepOptions& opt) {
@@ -483,54 +586,19 @@ SweepResult runSweep(const std::vector<SweepPoint>& points, const SweepOptions& 
   result.axes = opt.axes;
   result.seed = opt.seed;
 
-  std::vector<CompileJob> jobs;
-  jobs.reserve(points.size());
-  for (const auto& p : points) jobs.push_back({p.label, p.source, p.options});
-
   CompileService service(opt.workers);
   if (opt.cache) service.setCache(opt.cache);
-  const BatchResult batch = service.compileBatch(jobs);
-  result.workers = batch.workers;
-  result.cacheHits = batch.cacheHits;
-  result.cacheMisses = batch.cacheMisses;
-
-  result.points.reserve(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    SweepPointResult row;
-    row.point = points[i];
-    const CompileResult& r = batch.results[i];
-    row.outcome = pointOutcomeFrom(r.outcome);
-    for (const auto& p : r.passLog) row.compileMs += p.wallMs;
-    if (row.outcome != PointOutcome::Ok) {
-      const auto& all = r.diags.all();
-      for (const auto& d : all) {
-        if (d.severity == Severity::Error) {
-          row.error = d.str();
-          break;
-        }
-      }
-      if (row.error.empty() && !r.failedPass.empty()) {
-        row.error = fmt("%0 in pass %1", compileOutcomeName(r.outcome), r.failedPass);
-      }
-      result.points.push_back(std::move(row));
-      continue;
+  result.workers = service.workers();
+  result.points.resize(points.size());
+  std::vector<PointSource> sources(points.size());
+  service.forEach(points.size(), [&](size_t i) {
+    result.points[i] = runPoint(service, points[i], opt, sources[i]);
+  });
+  if (opt.cache) {
+    for (const PointSource s : sources) {
+      ++(s == PointSource::Compiled ? result.cacheMisses : result.cacheHits);
+      result.metricHits += s == PointSource::MetricsHit;
     }
-    // Metric collection needs the in-memory IR (kernel info, data path,
-    // netlist). A cache hit materializes only the artifact bytes, so
-    // recompile locally — the determinism guarantee makes the rebuild
-    // byte-equivalent, which is what keeps cold and warm sweep reports
-    // identical.
-    if (r.datapath.ops.empty()) {
-      const Compiler compiler(points[i].options);
-      const CompileResult fresh = compiler.compileSource(points[i].source);
-      row.outcome = pointOutcomeFrom(fresh.outcome);
-      if (row.outcome == PointOutcome::Ok) {
-        collectMetrics(points[i], fresh, opt.seed, opt.collectCycles, row);
-      }
-    } else {
-      collectMetrics(points[i], r, opt.seed, opt.collectCycles, row);
-    }
-    result.points.push_back(std::move(row));
   }
 
   // Per-kernel frontier + best config, kernels in first-appearance order.
@@ -674,15 +742,20 @@ std::string SweepResult::toJson(bool includeTimings) const {
   w.dedent();
   if (includeTimings) {
     w.line("],");
-    w.line(fmt("\"run\": {\"workers\": %0, \"wallMs\": %1, \"cacheHits\": %2, "
-               "\"cacheMisses\": %3}",
-               workers, num(wallMs), cacheHits, cacheMisses));
+    w.line(fmt("\"run\": %0", runJson()));
   } else {
     w.line("]");
   }
   w.dedent();
   w.line("}");
   return w.str();
+}
+
+std::string SweepResult::runJson() const {
+  return fmt("{\"workers\": %0, \"wallMs\": %1, \"points\": %2, \"ok\": %3, \"failed\": %4, "
+             "\"cacheHits\": %5, \"cacheMisses\": %6, \"metricHits\": %7}",
+             workers, num(wallMs), points.size(), okCount(), failedCount(), cacheHits,
+             cacheMisses, metricHits);
 }
 
 std::string SweepResult::table() const {

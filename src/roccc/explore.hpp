@@ -14,13 +14,16 @@
 //                  identical (two spellings of the default target-ns, a
 //                  repeated axis value, ...). Expansion order is fixed, so
 //                  the point list is a pure function of the grid.
-//   runSweep       fans the points through roccc::CompileService — the
-//                  CompileCache dedups shared points across sweeps, the
-//                  per-job CompileBudget bounds each — then collects
-//                  per-point metrics: slices / LUT / FF / MULT18 / BRAM and
-//                  modeled fmax + energy from synth::estimate, cycles and
-//                  BRAM traffic from a FastSim system run on the same
-//                  deterministic stimulus the conformance engine uses.
+//   runSweep       runs each point as one task on roccc::CompileService's
+//                  workers: compile (the CompileCache dedups shared points
+//                  across sweeps, the per-job CompileBudget bounds each),
+//                  then per-point metrics on the same worker: slices / LUT
+//                  / FF / MULT18 / BRAM and modeled fmax + energy from
+//                  synth::estimate, cycles and BRAM traffic from a FastSim
+//                  system run on the same deterministic stimulus the
+//                  conformance engine uses. With a cache attached the
+//                  metrics are stored as a derived entry, so a warm sweep
+//                  is one key hash and lookup per point, no compile.
 //   paretoFrontier computes the non-dominated set per kernel over the
 //                  user-selected axes (dominated-point removal; metric
 //                  ties keep both points; a single axis degenerates to
@@ -236,7 +239,8 @@ struct SweepOptions {
   /// SplitMix64 derivation the conformance engine uses).
   uint64_t seed = 0x0dc5'2005;
   int workers = 0; ///< CompileService workers (0 = hardware)
-  /// Optional compile cache shared across sweeps / passes.
+  /// Optional cache shared across sweeps / passes: compile entries plus
+  /// one metrics entry per measured point (docs/CACHING.md).
   std::shared_ptr<CompileCache> cache;
   /// Skip the FastSim run (area/timing-only sweeps; cycles stay 0 and the
   /// Cycles/Throughput axes are unavailable).
@@ -250,10 +254,14 @@ struct SweepResult {
   std::vector<KernelFrontier> frontiers; ///< kernels in first-appearance order
 
   // Run accounting — measurement, not output; exempt from determinism and
-  // excluded from toJson(false).
+  // excluded from toJson(false). With a cache attached, cacheHits counts
+  // points that ran no compile (served from a metrics entry or a compile
+  // entry), cacheMisses the points that compiled, and metricHits the
+  // points served from a metrics entry without touching the compiler.
   int workers = 1;
   double wallMs = 0;
   int cacheHits = 0, cacheMisses = 0;
+  int metricHits = 0;
 
   int okCount() const;
   int failedCount() const;
@@ -263,16 +271,21 @@ struct SweepResult {
   /// The versioned JSON report ("schema": "roccc-sweep-v1"). With
   /// includeTimings false (the default and the determinism contract) the
   /// bytes are a pure function of (grid, SweepOptions); true adds the
-  /// per-point compileMs and a "run" block (workers, wallMs, cache hits).
+  /// per-point compileMs and the "run" block (runJson()).
   std::string toJson(bool includeTimings = false) const;
+  /// The run-accounting object — workers, wallMs, points, ok, failed,
+  /// cacheHits, cacheMisses, metricHits — shared by toJson(true)'s "run"
+  /// block and roccc-explore --stats-json.
+  std::string runJson() const;
   /// Per-kernel metric table, Pareto points starred.
   std::string table() const;
   /// The "best config per kernel" report.
   std::string bestReport() const;
 };
 
-/// Runs every point: batch compile (cache-aware), per-point metric
-/// collection, per-kernel frontier + best-config computation.
+/// Runs every point on the worker pool — metrics from the cache, or a
+/// (cache-aware) compile plus metric collection — then the per-kernel
+/// frontier + best-config computation.
 SweepResult runSweep(const std::vector<SweepPoint>& points, const SweepOptions& opt);
 SweepResult runSweep(const SweepGrid& grid, const SweepOptions& opt);
 

@@ -11,6 +11,7 @@
 // across worker counts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -170,6 +171,20 @@ TEST(CacheKey, LineEndingNormalizationWidensHitsOnly) {
 }
 
 // --- store policy ------------------------------------------------------------
+
+TEST(CacheKey, DoubleBitsRoundTripsBitExact) {
+  for (const double v : {0.0, -0.0, 4.0, 0.1 + 0.2, 1e-310, -3.5e300}) {
+    double back = 1;
+    ASSERT_TRUE(parseDoubleBits(doubleBits(v), back)) << v;
+    EXPECT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(v)) << v;
+  }
+  double ignored = 0;
+  EXPECT_FALSE(parseDoubleBits("", ignored));
+  EXPECT_FALSE(parseDoubleBits("401000000000000", ignored));   // 15 digits
+  EXPECT_FALSE(parseDoubleBits("40100000000000000", ignored)); // 17 digits
+  EXPECT_FALSE(parseDoubleBits("401000000000000G", ignored));
+  EXPECT_FALSE(parseDoubleBits("4010000000000 00", ignored));
+}
 
 TEST(CachePolicy, DeterministicOutcomesCacheEnvironmentalOnesDoNot) {
   const CompileOptions clean;
@@ -462,6 +477,99 @@ TEST(CompileCacheDisk, ManifestSchemaMismatchDisablesTheStore) {
     buf << in.rdbuf();
     EXPECT_EQ(buf.str(), "roccc-compile-cache\nschema some-other-version\n");
   }
+  fs::remove_all(dir);
+}
+
+TEST(CompileCacheDisk, DerivedBlobRoundTripsThroughDisk) {
+  const std::string dir = freshDir("derived");
+  CacheEntry e;
+  e.derived = std::string("12 34\nline two\0\xff tail", 22);
+  {
+    CacheConfig cfg;
+    cfg.diskDir = dir;
+    CompileCache cache(cfg);
+    cache.insert("derived-key", e);
+    EXPECT_EQ(cache.stats().diskStores, 1);
+  }
+  CacheConfig cfg;
+  cfg.diskDir = dir;
+  CompileCache restarted(cfg);
+  const auto loaded = restarted.lookup("derived-key");
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->derived, e.derived);
+  EXPECT_EQ(loaded->outcome, CompileOutcome::Ok);
+  fs::remove_all(dir);
+}
+
+TEST(CompileCacheDisk, TruncatedDerivedBlobIsASilentMiss) {
+  const std::string dir = freshDir("derived_truncated");
+  CacheEntry e;
+  e.derived = std::string(64, 'm');
+  {
+    CacheConfig cfg;
+    cfg.diskDir = dir;
+    CompileCache cache(cfg);
+    cache.insert("derived-key", e);
+  }
+  const std::string entryFile = dir + "/derived-key.entry";
+  std::string bytes;
+  {
+    std::ifstream in(entryFile, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    bytes = buf.str();
+  }
+  // Cut the file half-way through the derived blob's payload.
+  const size_t blob = bytes.find("derived 64\n");
+  ASSERT_NE(blob, std::string::npos);
+  {
+    std::ofstream out(entryFile, std::ios::binary | std::ios::trunc);
+    out << bytes.substr(0, blob + std::string("derived 64\n").size() + 32);
+  }
+  CacheConfig cfg;
+  cfg.diskDir = dir;
+  CompileCache restarted(cfg);
+  EXPECT_TRUE(restarted.diskEnabled());
+  EXPECT_EQ(restarted.lookup("derived-key"), nullptr);
+  fs::remove_all(dir);
+}
+
+TEST(CompileCacheDisk, PreviousSchemaStoreIsLeftAloneAndMisses) {
+  // A store written by roccc-cache-v2 (entries without a derived blob):
+  // this generation neither reads nor writes it.
+  const std::string dir = freshDir("v2_store");
+  const std::vector<CompileJob> jobs{{"k", kSmallKernel, {}}};
+  const std::string key = computeCacheKey(jobs[0].source, jobs[0].options);
+  const std::string manifest = "roccc-compile-cache\nschema roccc-cache-v2\n";
+  const std::string entry = "roccc-cache-entry roccc-cache-v2\nkey " + key +
+                            "\noutcome ok\nfailed-pass 0\n\ntransformed-source 0\n\nvhdl 0\n\n"
+                            "verilog 0\n\ndiags 0\npasses 0\nend\n";
+  fs::create_directories(dir);
+  {
+    std::ofstream(dir + "/manifest", std::ios::binary) << manifest;
+    std::ofstream(dir + "/" + key + ".entry", std::ios::binary) << entry;
+  }
+  CacheConfig cfg;
+  cfg.diskDir = dir;
+  auto cache = std::make_shared<CompileCache>(cfg);
+  EXPECT_FALSE(cache->diskEnabled());
+  EXPECT_EQ(cache->lookup(key), nullptr);
+
+  CompileService service(1);
+  service.setCache(cache);
+  const BatchResult batch = service.compileBatch(jobs);
+  ASSERT_TRUE(batch.allOk());
+  EXPECT_EQ(batch.cacheMisses, 1);
+  EXPECT_FALSE(batch.results[0].vhdl.empty());
+  EXPECT_EQ(cache->stats().diskStores, 0);
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  EXPECT_EQ(read(dir + "/manifest"), manifest);
+  EXPECT_EQ(read(dir + "/" + key + ".entry"), entry);
   fs::remove_all(dir);
 }
 

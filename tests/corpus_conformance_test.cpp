@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +29,10 @@ struct CorpusKernel {
   std::string path;
   std::string source;
 };
+
+// Printed in test IDs; gtest's fallback would print the std::string
+// internals, heap pointers included, which differ on every run.
+void PrintTo(const CorpusKernel& k, std::ostream* os) { *os << k.name; }
 
 const std::vector<CorpusKernel>& corpus() {
   static const std::vector<CorpusKernel> kernels = [] {

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -26,6 +27,14 @@
 #include "roccc/compiler.hpp"
 
 namespace roccc {
+namespace bench {
+
+// Without a printer gtest shows a parameter as its raw bytes, and this
+// struct's bytes are string pointers that ASLR moves on every run; the test
+// IDs that gtest_discover_tests records would then differ between builds.
+void PrintTo(const NamedKernel& k, std::ostream* os) { *os << k.name; }
+
+} // namespace bench
 namespace {
 
 bool g_updateGoldens = false;

@@ -427,10 +427,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write '%s'\n", a.statsJsonPath.c_str());
       return 2;
     }
-    out << roccc::fmt("{\"run\": {\"workers\": %0, \"wallMs\": %1, \"points\": %2, "
-                      "\"ok\": %3, \"failed\": %4, \"cacheHits\": %5, \"cacheMisses\": %6}}\n",
-                      sweep.workers, sweep.wallMs, sweep.points.size(), sweep.okCount(),
-                      sweep.failedCount(), sweep.cacheHits, sweep.cacheMisses);
+    out << "{\"run\": " << sweep.runJson() << "}\n";
   }
 
   if (a.verifyPareto) {
