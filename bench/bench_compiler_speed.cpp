@@ -1,7 +1,8 @@
 // Compiler-speed microbenchmarks (google-benchmark): end-to-end compile
-// time per Table 1 kernel, plus the compile-time area estimation the
-// unrolling heuristic relies on (ref [13] reports < 1 ms — ours is far
-// below that) and the cycle-accurate system simulation rate.
+// time per Table 1 kernel, HDL emission time on its own, plus the
+// compile-time area estimation the unrolling heuristic relies on (ref [13]
+// reports < 1 ms — ours is far below that) and the cycle-accurate system
+// simulation rate.
 #include <benchmark/benchmark.h>
 
 #include "frontend/parser.hpp"
@@ -11,6 +12,8 @@
 #include "roccc/compiler.hpp"
 #include "roccc/driver.hpp"
 #include "synth/estimate.hpp"
+#include "vhdl/emit.hpp"
+#include "vhdl/verilog.hpp"
 
 namespace {
 
@@ -47,6 +50,29 @@ void BM_CompileWavelet2D(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileWavelet2D);
+
+/// Emission alone: the kernel is compiled once, then each iteration re-emits
+/// the text from the stored data path (and netlist, for the VHDL header),
+/// so emission cost is measured apart from the rest of the pipeline.
+void BM_EmitVhdl(benchmark::State& state, const char* source) {
+  const CompileResult r = Compiler().compileSource(source);
+  if (!r.ok) state.SkipWithError("compile failed");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vhdl::emitDesign(r.datapath, r.module, r.kernel));
+  }
+}
+BENCHMARK_CAPTURE(BM_EmitVhdl, dct, bench::kDct);
+BENCHMARK_CAPTURE(BM_EmitVhdl, cos, bench::kCos);
+
+void BM_EmitVerilog(benchmark::State& state, const char* source) {
+  const CompileResult r = Compiler().compileSource(source);
+  if (!r.ok) state.SkipWithError("compile failed");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verilog::emitDesign(r.datapath, r.kernel));
+  }
+}
+BENCHMARK_CAPTURE(BM_EmitVerilog, dct, bench::kDct);
+BENCHMARK_CAPTURE(BM_EmitVerilog, cos, bench::kCos);
 
 /// The nine Table 1 workloads as one CompileService batch, with the
 /// per-kernel options of bench_table1's rows (bench::kTable1Kernels).

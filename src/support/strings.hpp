@@ -1,8 +1,12 @@
 // Small string / container helpers used across the compiler.
 #pragma once
 
+#include <array>
+#include <charconv>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace roccc {
@@ -17,24 +21,56 @@ bool endsWith(const std::string& s, const std::string& suffix);
 /// Replaces every occurrence of `from` (non-empty) with `to`.
 std::string replaceAll(std::string s, const std::string& from, const std::string& to);
 
-/// printf-free formatting: fmt("x=%0 y=%1", a, b) substitutes %0, %1, ...
-/// via operator<<. Unmatched placeholders are left intact.
+namespace detail {
+
+/// One rendered fmt() argument. Strings are referenced in place and
+/// integers rendered into `digits`; every other type goes through
+/// operator<< into `owned`, so each renders exactly as a stream would.
+class FmtArg {
+ public:
+  template <typename T>
+  void set(const T& v) {
+    if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+      view_ = v;
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool> && !std::is_same_v<T, char> &&
+                         !std::is_same_v<T, signed char> && !std::is_same_v<T, unsigned char>) {
+      const auto end = std::to_chars(digits_, digits_ + sizeof digits_, v).ptr;
+      view_ = std::string_view(digits_, static_cast<size_t>(end - digits_));
+    } else {
+      std::ostringstream os;
+      os << v;
+      owned_ = os.str();
+      view_ = owned_;
+    }
+  }
+  std::string_view view() const { return view_; }
+
+ private:
+  std::string_view view_;
+  char digits_[24]; // fits any 64-bit integer with its sign
+  std::string owned_;
+};
+
+} // namespace detail
+
+/// printf-free formatting: fmt("x=%0 y=%1", a, b) substitutes %0 .. %9 with
+/// the arguments as operator<< would render them. Placeholders are a single
+/// digit, so at most ten arguments; an unmatched placeholder is left intact.
 template <typename... Args>
-std::string fmt(const std::string& pattern, const Args&... args) {
-  std::vector<std::string> rendered;
-  (rendered.push_back([&] {
-    std::ostringstream os;
-    os << args;
-    return os.str();
-  }()),
-   ...);
+std::string fmt(std::string_view pattern, const Args&... args) {
+  static_assert(sizeof...(Args) <= 10, "fmt placeholders are single-digit: %0 .. %9");
+  std::array<detail::FmtArg, sizeof...(Args)> rendered;
+  size_t next = 0;
+  (rendered[next++].set(args), ...);
+  size_t size = pattern.size();
+  for (const auto& r : rendered) size += r.view().size();
   std::string out;
-  out.reserve(pattern.size());
+  out.reserve(size);
   for (size_t i = 0; i < pattern.size(); ++i) {
     if (pattern[i] == '%' && i + 1 < pattern.size() && pattern[i + 1] >= '0' && pattern[i + 1] <= '9') {
       const size_t idx = static_cast<size_t>(pattern[i + 1] - '0');
       if (idx < rendered.size()) {
-        out += rendered[idx];
+        out += rendered[idx].view();
         ++i;
         continue;
       }

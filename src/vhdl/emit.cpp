@@ -1,54 +1,31 @@
 #include "vhdl/emit.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
-#include <set>
-#include <sstream>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
+#include "vhdl/layout.hpp"
 
 namespace roccc::vhdl {
 
 using dp::DataPath;
 using dp::DpOp;
 using dp::DpValue;
-using dp::NodeKind;
+using hdl::addrBits;
+using hdl::sanitize;
 using mir::Opcode;
 
 namespace {
 
-/// VHDL-safe identifier from a debug name.
-std::string sanitize(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out = "s_" + out;
-  return out;
-}
-
-int addrBits(size_t entries) {
-  int b = 1;
-  while ((size_t{1} << b) < entries) ++b;
-  return b;
-}
-
 class Emitter {
  public:
   Emitter(const DataPath& dp, const rtl::Module& module, const hlir::KernelInfo& kernel)
-      : dp_(dp), module_(module), kernel_(kernel) {}
+      : dp_(dp), module_(module), kernel_(kernel), layout_(dp) {}
 
   std::string run() {
     header();
     romEntities();
-    for (const auto& n : dp_.nodes) nodeEntity(n);
+    for (size_t i = 0; i < dp_.nodes.size(); ++i) nodeEntity(dp_.nodes[i], layout_.node(i));
     topEntity();
     return w_.str();
   }
@@ -57,97 +34,33 @@ class Emitter {
   const DataPath& dp_;
   const rtl::Module& module_;
   const hlir::KernelInfo& kernel_;
+  const hdl::Layout layout_;
   IndentWriter w_;
 
   // --- naming -------------------------------------------------------------
 
-  std::string valueName(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return fmt("v%0_%1", vid, sanitize(v.name.empty() ? "t" : v.name));
-  }
+  std::string_view valueName(int vid) const { return layout_.name(vid); }
 
   std::string typeOf(int vid) const {
     const DpValue& v = dp_.values[static_cast<size_t>(vid)];
     return fmt("%0(%1 downto 0)", v.isSigned ? "signed" : "unsigned", v.width - 1);
   }
 
-  bool isConstValue(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return v.def >= 0 && dp_.ops[static_cast<size_t>(v.def)].op == Opcode::Ldc;
-  }
-
   /// Renders a reference to `vid` converted to (width, signedness).
   std::string cvt(int vid, int width, bool wantSigned) const {
     const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (isConstValue(vid)) {
+    if (layout_.isConst(vid)) {
       const int64_t c = dp_.ops[static_cast<size_t>(v.def)].imm;
       return fmt("to_%0(%1, %2)", wantSigned ? "signed" : "unsigned",
                  Value::fromInt(ScalarType::make(width, wantSigned), c).toInt(), width);
     }
-    std::string r = valueName(vid);
+    const std::string_view r = valueName(vid);
     if (v.isSigned == wantSigned) {
-      if (v.width == width) return r;
+      if (v.width == width) return std::string(r);
       return fmt("resize(%0, %1)", r, width);
     }
     // Resize in the source domain (correct extension), then reinterpret.
     return fmt("%0(resize(%1, %2))", wantSigned ? "signed" : "unsigned", r, width);
-  }
-
-  // --- layout analysis -------------------------------------------------------
-
-  struct NodeIO {
-    std::vector<int> inputs;  ///< external values consumed (no constants)
-    std::vector<int> outputs; ///< produced values visible outside
-  };
-
-  NodeIO analyzeNode(const dp::DpNode& n) const {
-    NodeIO io;
-    std::set<int> produced;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      if (o.result >= 0) produced.insert(o.result);
-    }
-    std::set<int> ins;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        if (produced.count(vid) || isConstValue(vid)) continue;
-        ins.insert(vid);
-      }
-    }
-    io.inputs.assign(ins.begin(), ins.end());
-    // Produced values consumed outside this node, or driving top-level
-    // outputs / feedback registers.
-    std::set<int> outs;
-    for (const auto& o : dp_.ops) {
-      if (o.node == n.id) continue;
-      for (int vid : o.operands) {
-        if (produced.count(vid)) outs.insert(vid);
-      }
-    }
-    for (const auto& port : dp_.outputs) {
-      if (produced.count(port.value)) outs.insert(port.value);
-    }
-    for (const auto& fb : dp_.feedbacks) {
-      if (produced.count(fb.snxValue)) outs.insert(fb.snxValue);
-    }
-    io.outputs.assign(outs.begin(), outs.end());
-    return io;
-  }
-
-  /// True if any op in the node consumes a value defined (inside the node)
-  /// at an earlier stage — requiring node-internal latches.
-  bool nodeNeedsClock(const dp::DpNode& n) const {
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node == n.id && defOp.stage < o.stage) return true;
-      }
-    }
-    return false;
   }
 
   // --- sections ------------------------------------------------------------------
@@ -169,7 +82,7 @@ class Emitter {
 
   void romEntities() {
     for (const auto& t : dp_.tables) {
-      const std::string name = sanitize(dp_.name) + "_" + sanitize(t.name) + "_rom";
+      const std::string name = layout_.romName(t.name);
       const int ab = addrBits(t.values.size());
       const int dw = t.elemType.width;
       libraryClause();
@@ -205,14 +118,9 @@ class Emitter {
     }
   }
 
-  std::string nodeEntityName(const dp::DpNode& n) const {
-    return sanitize(dp_.name) + "_" + sanitize(n.label);
-  }
-
-  void nodeEntity(const dp::DpNode& n) {
-    const NodeIO io = analyzeNode(n);
-    const bool clocked = nodeNeedsClock(n);
-    const std::string name = nodeEntityName(n);
+  void nodeEntity(const dp::DpNode& n, const hdl::NodeLayout& nl) {
+    const bool clocked = nl.needsClock();
+    const std::string& name = nl.entity;
     libraryClause();
     w_.line("entity " + name + " is");
     w_.indent();
@@ -223,8 +131,8 @@ class Emitter {
       w_.line("ce  : in std_logic;");
     }
     std::vector<std::string> portLines;
-    for (int vid : io.inputs) portLines.push_back(valueName(vid) + " : in " + typeOf(vid));
-    for (int vid : io.outputs) portLines.push_back(valueName(vid) + "_out : out " + typeOf(vid));
+    for (int vid : nl.inputs) portLines.push_back(fmt("%0 : in %1", valueName(vid), typeOf(vid)));
+    for (int vid : nl.outputs) portLines.push_back(fmt("%0_out : out %1", valueName(vid), typeOf(vid)));
     for (size_t i = 0; i < portLines.size(); ++i) {
       w_.line(portLines[i] + (i + 1 < portLines.size() ? ";" : ""));
     }
@@ -238,33 +146,13 @@ class Emitter {
     w_.indent();
     // Internal signals: every produced value, plus staged copies for
     // node-internal stage crossings.
-    std::set<int> produced;
     for (int oi : n.ops) {
       const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
       if (o.result < 0 || o.op == Opcode::Ldc) continue;
-      produced.insert(o.result);
-      w_.line("signal " + valueName(o.result) + " : " + typeOf(o.result) + ";");
+      w_.line(fmt("signal %0 : %1;", valueName(o.result), typeOf(o.result)));
     }
-    struct StagedCopy {
-      int vid;
-      int fromStage, toStage;
-    };
-    std::vector<StagedCopy> copies;
-    std::set<std::pair<int, int>> copySignals; // (vid, stage)
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node != n.id || defOp.stage >= o.stage) continue;
-        for (int s = defOp.stage + 1; s <= o.stage; ++s) {
-          if (copySignals.insert({vid, s}).second) {
-            copies.push_back({vid, s - 1, s});
-            w_.line(fmt("signal %0_s%1 : %2;", valueName(vid), s, typeOf(vid)));
-          }
-        }
-      }
+    for (const auto& c : nl.copies) {
+      w_.line(fmt("signal %0_s%1 : %2;", valueName(c.vid), c.stage, typeOf(c.vid)));
     }
     w_.dedent();
     w_.line("begin");
@@ -276,13 +164,9 @@ class Emitter {
     for (int oi : n.ops) {
       const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
       if (o.op != Opcode::Lut) continue;
-      const mir::FunctionIR::Table* table = nullptr;
-      for (const auto& t : dp_.tables) {
-        if (t.name == o.symbol) table = &t;
-      }
+      const mir::FunctionIR::Table* table = layout_.table(o.symbol);
       const int ab = addrBits(table ? table->values.size() : 2);
-      const std::string romName = sanitize(dp_.name) + "_" + sanitize(o.symbol) + "_rom";
-      w_.line(fmt("u_lut%0 : entity work.%1", lutInst++, romName));
+      w_.line(fmt("u_lut%0 : entity work.%1", lutInst++, layout_.romName(o.symbol)));
       w_.indent();
       w_.line(fmt("port map (addr => %0, data => %1);", cvt(o.operands[0], ab, false),
                   valueName(o.result)));
@@ -304,12 +188,11 @@ class Emitter {
       w_.indent();
       w_.line("if ce = '1' then");
       w_.indent();
-      for (const auto& c : copies) {
-        const std::string from =
-            c.fromStage == dp_.ops[static_cast<size_t>(dp_.values[static_cast<size_t>(c.vid)].def)].stage
-                ? valueName(c.vid)
-                : fmt("%0_s%1", valueName(c.vid), c.fromStage);
-        w_.line(fmt("%0_s%1 <= %2;", valueName(c.vid), c.toStage, from));
+      for (const auto& c : nl.copies) {
+        const std::string from = c.stage - 1 == layout_.defStage(c.vid)
+                                     ? std::string(valueName(c.vid))
+                                     : fmt("%0_s%1", valueName(c.vid), c.stage - 1);
+        w_.line(fmt("%0_s%1 <= %2;", valueName(c.vid), c.stage, from));
       }
       w_.dedent();
       w_.line("end if;");
@@ -320,8 +203,8 @@ class Emitter {
     }
 
     // Drive output ports.
-    for (int vid : io.outputs) {
-      w_.line(valueName(vid) + "_out <= " + valueName(vid) + ";");
+    for (int vid : nl.outputs) {
+      w_.line(fmt("%0_out <= %0;", valueName(vid)));
     }
     w_.dedent();
     w_.line("end architecture rtl;");
@@ -332,7 +215,7 @@ class Emitter {
   /// when the producer sits in an earlier stage of the same node.
   std::string operandRef(const dp::DpNode& n, const DpOp& o, int vid, int width, bool wantSigned) const {
     const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (!isConstValue(vid) && v.def >= 0) {
+    if (!layout_.isConst(vid) && v.def >= 0) {
       const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
       if (defOp.node == n.id && defOp.stage < o.stage) {
         // Reference the staged copy, converted like cvt().
@@ -350,7 +233,7 @@ class Emitter {
     if (o.op == Opcode::Ldc || o.op == Opcode::Lut) return; // handled elsewhere
     if (o.result < 0) return;
     const DpValue& r = dp_.values[static_cast<size_t>(o.result)];
-    const std::string dst = valueName(o.result);
+    const std::string_view dst = valueName(o.result);
     const int W = r.width;
     const bool S = r.isSigned;
     auto in = [&](size_t k) { return operandRef(n, o, o.operands[k], W, S); };
@@ -449,7 +332,7 @@ class Emitter {
   }
 
   void topEntity() {
-    const std::string name = sanitize(dp_.name);
+    const std::string& name = layout_.design();
     libraryClause();
     w_.line("entity " + name + " is");
     w_.indent();
@@ -481,50 +364,13 @@ class Emitter {
 
     // Signals: every non-constant value (node outputs / inputs), staged
     // copies for cross-node crossings, feedback registers.
-    std::set<int> crossValues;
-    std::map<int, dp::NodeKind> nodeOf;
-    for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
-      for (int vid : io.inputs) crossValues.insert(vid);
-      for (int vid : io.outputs) crossValues.insert(vid);
-    }
-    for (const auto& port : dp_.outputs) crossValues.insert(port.value);
-    for (const auto& fb : dp_.feedbacks) {
-      crossValues.insert(fb.snxValue);
-      crossValues.insert(fb.lprValue);
-    }
-    for (int vid : crossValues) {
-      if (isConstValue(vid)) continue;
-      const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-      if (v.inputPort >= 0) continue; // top-level input port already a signal
-      w_.line("signal " + valueName(vid) + " : " + typeOf(vid) + ";");
+    for (int vid : layout_.topSignals()) {
+      w_.line(fmt("signal %0 : %1;", valueName(vid), typeOf(vid)));
     }
     // Cross-node staged copies: a consumer node receives the operand at the
-    // consuming op's stage; emit register chains from def stage to each
-    // needed stage.
-    struct Chain {
-      int vid;
-      int toStage;
-    };
-    std::vector<Chain> chains;
-    std::set<std::pair<int, int>> chainSignals;
-    auto needChain = [&](int vid, int defStage, int useStage) {
-      for (int s = defStage + 1; s <= useStage; ++s) {
-        if (chainSignals.insert({vid, s}).second) {
-          chains.push_back({vid, s});
-          w_.line(fmt("signal %0_p%1 : %2;", valueName(vid), s, typeOf(vid)));
-        }
-      }
-    };
-    for (const auto& o : dp_.ops) {
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (isConstValue(vid)) continue;
-        const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-        const int defNode = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].node : -1;
-        if (defNode == o.node) continue; // node-internal, handled there
-        if (o.stage > defStage) needChain(vid, defStage, o.stage);
-      }
+    // consuming op's stage through a register chain from the def stage.
+    for (const auto& c : layout_.chains()) {
+      w_.line(fmt("signal %0_p%1 : %2;", valueName(c.vid), c.stage, typeOf(c.vid)));
     }
     // Feedback registers and the valid chain gating them (they must not
     // latch until real data reaches their stage).
@@ -542,21 +388,20 @@ class Emitter {
     w_.indent();
 
     // Node instantiations.
-    for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
-      nodeOf[n.id] = n.kind;
+    for (size_t ni = 0; ni < dp_.nodes.size(); ++ni) {
+      const hdl::NodeLayout& nl = layout_.node(ni);
       std::vector<std::string> assoc;
-      if (nodeNeedsClock(n)) {
+      if (nl.needsClock()) {
         assoc.push_back("clk => clk");
         assoc.push_back("ce => ce");
       }
-      for (int vid : io.inputs) {
-        assoc.push_back(valueName(vid) + " => " + topOperandRef(n, vid));
+      for (size_t i = 0; i < nl.inputs.size(); ++i) {
+        assoc.push_back(fmt("%0 => %1", valueName(nl.inputs[i]), layout_.topOperandRef(ni, i)));
       }
-      for (int vid : io.outputs) {
-        assoc.push_back(valueName(vid) + "_out => " + valueName(vid));
+      for (int vid : nl.outputs) {
+        assoc.push_back(fmt("%0_out => %0", valueName(vid)));
       }
-      w_.line(fmt("u_%0 : entity work.%1", sanitize(n.label), nodeEntityName(n)));
+      w_.line(fmt("u_%0 : entity work.%1", nl.instance, nl.entity));
       w_.indent();
       w_.line("port map (" + join(assoc, ", ") + ");");
       w_.dedent();
@@ -570,12 +415,11 @@ class Emitter {
     w_.indent();
     w_.line("if ce = '1' then");
     w_.indent();
-    for (const auto& c : chains) {
-      const DpValue& v = dp_.values[static_cast<size_t>(c.vid)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-      const std::string from =
-          c.toStage - 1 == defStage ? topValueRef(c.vid) : fmt("%0_p%1", valueName(c.vid), c.toStage - 1);
-      w_.line(fmt("%0_p%1 <= %2;", valueName(c.vid), c.toStage, from));
+    for (const auto& c : layout_.chains()) {
+      const std::string from = c.stage - 1 == layout_.defStage(c.vid)
+                                   ? std::string(layout_.topRef(c.vid))
+                                   : fmt("%0_p%1", valueName(c.vid), c.stage - 1);
+      w_.line(fmt("%0_p%1 <= %2;", valueName(c.vid), c.stage, from));
     }
     if (!dp_.feedbacks.empty()) {
       for (int st = 1; st < dp_.stageCount; ++st) {
@@ -611,17 +455,12 @@ class Emitter {
     for (size_t p = 0; p < dp_.outputs.size(); ++p) {
       const auto& port = dp_.outputs[p];
       const DpValue& v = dp_.values[static_cast<size_t>(port.value)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
       const int finalStage = dp_.stageCount - 1;
-      std::string src = topValueRef(port.value);
-      if (finalStage > defStage && !isConstValue(port.value)) {
-        // Ensure a chain exists to the final stage (may not have been
-        // created if no op consumes it there; it was — outputs are captured
-        // at the final stage by the system; emit the reference defensively).
-        src = chainSignals.count({port.value, finalStage})
-                  ? fmt("%0_p%1", valueName(port.value), finalStage)
-                  : src;
-      }
+      // Outputs are captured at the final stage by the system: read the
+      // chain there when one exists.
+      const std::string src = layout_.hasChain(port.value, finalStage)
+                                  ? fmt("%0_p%1", valueName(port.value), finalStage)
+                                  : std::string(layout_.topRef(port.value));
       const std::string cast =
           v.isSigned == port.type.isSigned
               ? fmt("resize(%0, %1)", src, port.type.width)
@@ -630,30 +469,6 @@ class Emitter {
     }
     w_.dedent();
     w_.line("end architecture rtl;");
-  }
-
-  /// Reference to a value at top level: input port name, node output
-  /// signal, or feedback register.
-  std::string topValueRef(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (v.inputPort >= 0) return sanitize(dp_.inputs[static_cast<size_t>(v.inputPort)].name);
-    return valueName(vid);
-  }
-
-  /// Operand binding for a node instantiation: the value, advanced through
-  /// top-level chains to the node's earliest use stage.
-  std::string topOperandRef(const dp::DpNode& n, int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-    int earliest = INT32_MAX;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int op : o.operands) {
-        if (op == vid) earliest = std::min(earliest, o.stage);
-      }
-    }
-    if (earliest == INT32_MAX || earliest <= defStage) return topValueRef(vid);
-    return fmt("%0_p%1", valueName(vid), earliest);
   }
 };
 

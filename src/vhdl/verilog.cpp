@@ -1,53 +1,41 @@
 #include "vhdl/verilog.hpp"
 
 #include <cctype>
-#include <map>
+#include <charconv>
 #include <set>
-#include <sstream>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
+#include "vhdl/layout.hpp"
 
 namespace roccc::verilog {
 
 using dp::DataPath;
 using dp::DpOp;
 using dp::DpValue;
-using dp::NodeKind;
+using hdl::addrBits;
+using hdl::sanitize;
 using mir::Opcode;
 
 namespace {
 
-std::string sanitize(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += c;
-    } else if (!out.empty() && out.back() != '_') {
-      out += '_';
-    }
-  }
-  while (!out.empty() && out.back() == '_') out.pop_back();
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out = "s_" + out;
-  return out;
-}
-
-int addrBits(size_t entries) {
-  int b = 1;
-  while ((size_t{1} << b) < entries) ++b;
-  return b;
+/// `width`'h<bits in lowercase hex>.
+std::string hexLiteral(int width, uint64_t bits) {
+  char buf[16];
+  const auto end = std::to_chars(buf, buf + sizeof buf, bits, 16).ptr;
+  return fmt("%0'h%1", width, std::string_view(buf, static_cast<size_t>(end - buf)));
 }
 
 class Emitter {
  public:
-  Emitter(const DataPath& dp, const hlir::KernelInfo& kernel) : dp_(dp), kernel_(kernel) {}
+  Emitter(const DataPath& dp, const hlir::KernelInfo& kernel) : dp_(dp), kernel_(kernel), layout_(dp) {}
 
   std::string run() {
     w_.line("// Generated by ROCCC (reproduction): Verilog for kernel '" + kernel_.kernelName + "'");
     w_.line(fmt("// data path: %0 nodes, %1 pipeline stages", dp_.nodes.size(), dp_.stageCount));
     w_.blank();
     romModules();
-    for (const auto& n : dp_.nodes) nodeModule(n);
+    for (size_t i = 0; i < dp_.nodes.size(); ++i) nodeModule(dp_.nodes[i], layout_.node(i));
     topModule();
     return w_.str();
   }
@@ -55,97 +43,32 @@ class Emitter {
  private:
   const DataPath& dp_;
   const hlir::KernelInfo& kernel_;
+  const hdl::Layout layout_;
   IndentWriter w_;
 
-  std::string valueName(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return fmt("v%0_%1", vid, sanitize(v.name.empty() ? "t" : v.name));
-  }
+  std::string_view valueName(int vid) const { return layout_.name(vid); }
 
   int widthOf(int vid) const { return dp_.values[static_cast<size_t>(vid)].width; }
 
-  bool isConstValue(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    return v.def >= 0 && dp_.ops[static_cast<size_t>(v.def)].op == Opcode::Ldc;
-  }
-
   /// Reference to `vid`, extended/truncated to `W` honoring the value's own
   /// signedness; emits pure structural bit manipulation.
-  std::string cvt(int vid, int W, const std::string& nameOverride = "") const {
+  std::string cvt(int vid, int W, std::string_view nameOverride = {}) const {
     const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (isConstValue(vid)) {
+    if (layout_.isConst(vid)) {
       const int64_t c = dp_.ops[static_cast<size_t>(v.def)].imm;
-      const uint64_t bits = Value::fromInt(ScalarType::make(W, v.isSigned), c).bits();
-      return fmt("%0'h%1", W, [&] {
-        std::ostringstream hex;
-        hex << std::hex << bits;
-        return hex.str();
-      }());
+      return hexLiteral(W, Value::fromInt(ScalarType::make(W, v.isSigned), c).bits());
     }
-    const std::string base = nameOverride.empty() ? valueName(vid) : nameOverride;
+    const std::string_view base = nameOverride.empty() ? valueName(vid) : nameOverride;
     const int w = v.width;
-    if (w == W) return base;
+    if (w == W) return std::string(base);
     if (w > W) return fmt("%0[%1:0]", base, W - 1);
     if (v.isSigned) return fmt("{{%0{%1[%2]}}, %1}", W - w, base, w - 1);
     return fmt("{{%0{1'b0}}, %1}", W - w, base);
   }
 
-  struct NodeIO {
-    std::vector<int> inputs;
-    std::vector<int> outputs;
-  };
-
-  NodeIO analyzeNode(const dp::DpNode& n) const {
-    NodeIO io;
-    std::set<int> produced;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      if (o.result >= 0) produced.insert(o.result);
-    }
-    std::set<int> ins;
-    for (int oi : n.ops) {
-      for (int vid : dp_.ops[static_cast<size_t>(oi)].operands) {
-        if (!produced.count(vid) && !isConstValue(vid)) ins.insert(vid);
-      }
-    }
-    io.inputs.assign(ins.begin(), ins.end());
-    std::set<int> outs;
-    for (const auto& o : dp_.ops) {
-      if (o.node == n.id) continue;
-      for (int vid : o.operands) {
-        if (produced.count(vid)) outs.insert(vid);
-      }
-    }
-    for (const auto& port : dp_.outputs) {
-      if (produced.count(port.value)) outs.insert(port.value);
-    }
-    for (const auto& fb : dp_.feedbacks) {
-      if (produced.count(fb.snxValue)) outs.insert(fb.snxValue);
-    }
-    io.outputs.assign(outs.begin(), outs.end());
-    return io;
-  }
-
-  bool nodeNeedsClock(const dp::DpNode& n) const {
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node == n.id && defOp.stage < o.stage) return true;
-      }
-    }
-    return false;
-  }
-
-  std::string nodeModuleName(const dp::DpNode& n) const {
-    return sanitize(dp_.name) + "_" + sanitize(n.label);
-  }
-
   void romModules() {
     for (const auto& t : dp_.tables) {
-      const std::string name = sanitize(dp_.name) + "_" + sanitize(t.name) + "_rom";
+      const std::string name = layout_.romName(t.name);
       const int ab = addrBits(t.values.size());
       const int dw = t.elemType.width;
       w_.line(fmt("module %0(input wire [%1:0] addr, output reg [%2:0] data);", name, ab - 1, dw - 1));
@@ -155,10 +78,8 @@ class Emitter {
       w_.line("case (addr)");
       w_.indent();
       for (size_t i = 0; i < t.values.size(); ++i) {
-        const uint64_t bits = Value::fromInt(t.elemType, t.values[i]).bits();
-        std::ostringstream hex;
-        hex << std::hex << bits;
-        w_.line(fmt("%0'd%1: data = %2'h%3;", ab, i, dw, hex.str()));
+        w_.line(fmt("%0'd%1: data = %2;", ab, i,
+                    hexLiteral(dw, Value::fromInt(t.elemType, t.values[i]).bits())));
       }
       w_.line(fmt("default: data = %0'h0;", dw));
       w_.dedent();
@@ -171,51 +92,30 @@ class Emitter {
     }
   }
 
-  void nodeModule(const dp::DpNode& n) {
-    const NodeIO io = analyzeNode(n);
-    const bool clocked = nodeNeedsClock(n);
+  void nodeModule(const dp::DpNode& n, const hdl::NodeLayout& nl) {
+    const bool clocked = nl.needsClock();
     std::vector<std::string> ports;
     if (clocked) {
       ports.push_back("input wire clk");
       ports.push_back("input wire ce");
     }
-    for (int vid : io.inputs) {
+    for (int vid : nl.inputs) {
       ports.push_back(fmt("input wire [%0:0] %1", widthOf(vid) - 1, valueName(vid)));
     }
-    for (int vid : io.outputs) {
+    for (int vid : nl.outputs) {
       ports.push_back(fmt("output wire [%0:0] %1_out", widthOf(vid) - 1, valueName(vid)));
     }
-    w_.line("module " + nodeModuleName(n) + "(" + join(ports, ", ") + ");");
+    w_.line("module " + nl.entity + "(" + join(ports, ", ") + ");");
     w_.indent();
 
-    std::set<int> produced;
     for (int oi : n.ops) {
       const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
       if (o.result < 0 || o.op == Opcode::Ldc) continue;
-      produced.insert(o.result);
       w_.line(fmt("wire [%0:0] %1;", widthOf(o.result) - 1, valueName(o.result)));
     }
     // Node-internal staged copies.
-    struct Copy {
-      int vid;
-      int toStage;
-    };
-    std::vector<Copy> copies;
-    std::set<std::pair<int, int>> copySignals;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (v.def < 0 || isConstValue(vid)) continue;
-        const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
-        if (defOp.node != n.id || defOp.stage >= o.stage) continue;
-        for (int s = defOp.stage + 1; s <= o.stage; ++s) {
-          if (copySignals.insert({vid, s}).second) {
-            copies.push_back({vid, s});
-            w_.line(fmt("reg [%0:0] %1_s%2;", widthOf(vid) - 1, valueName(vid), s));
-          }
-        }
-      }
+    for (const auto& c : nl.copies) {
+      w_.line(fmt("reg [%0:0] %1_s%2;", widthOf(c.vid) - 1, valueName(c.vid), c.stage));
     }
 
     // Lookup-table instantiations.
@@ -223,21 +123,17 @@ class Emitter {
     for (int oi : n.ops) {
       const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
       if (o.op != Opcode::Lut) continue;
-      const mir::FunctionIR::Table* table = nullptr;
-      for (const auto& t : dp_.tables) {
-        if (t.name == o.symbol) table = &t;
-      }
+      const mir::FunctionIR::Table* table = layout_.table(o.symbol);
       const int ab = addrBits(table ? table->values.size() : 2);
-      const std::string romName = sanitize(dp_.name) + "_" + sanitize(o.symbol) + "_rom";
       w_.line(fmt("wire [%0:0] %1_romout;", (table ? table->elemType.width : 16) - 1,
                   valueName(o.result)));
-      w_.line(fmt("%0 u_lut%1(.addr(%2), .data(%3_romout));", romName, lutInst++,
+      w_.line(fmt("%0 u_lut%1(.addr(%2), .data(%3_romout));", layout_.romName(o.symbol), lutInst++,
                   operandRef(n, o, o.operands[0], ab), valueName(o.result)));
       // The value may be narrower than the stored element (range-narrowed).
       w_.line(fmt("assign %0 = %1;", valueName(o.result),
                   table && table->elemType.width != widthOf(o.result)
                       ? fmt("%0_romout[%1:0]", valueName(o.result), widthOf(o.result) - 1)
-                      : valueName(o.result) + "_romout"));
+                      : fmt("%0_romout", valueName(o.result))));
     }
 
     for (int oi : n.ops) emitOp(n, dp_.ops[static_cast<size_t>(oi)]);
@@ -247,19 +143,18 @@ class Emitter {
       w_.indent();
       w_.line("if (ce) begin");
       w_.indent();
-      for (const auto& c : copies) {
-        const int defStage = dp_.ops[static_cast<size_t>(dp_.values[static_cast<size_t>(c.vid)].def)].stage;
-        const std::string from = c.toStage - 1 == defStage
-                                     ? valueName(c.vid)
-                                     : fmt("%0_s%1", valueName(c.vid), c.toStage - 1);
-        w_.line(fmt("%0_s%1 <= %2;", valueName(c.vid), c.toStage, from));
+      for (const auto& c : nl.copies) {
+        const std::string from = c.stage - 1 == layout_.defStage(c.vid)
+                                     ? std::string(valueName(c.vid))
+                                     : fmt("%0_s%1", valueName(c.vid), c.stage - 1);
+        w_.line(fmt("%0_s%1 <= %2;", valueName(c.vid), c.stage, from));
       }
       w_.dedent();
       w_.line("end");
       w_.dedent();
       w_.line("end");
     }
-    for (int vid : io.outputs) {
+    for (int vid : nl.outputs) {
       w_.line(fmt("assign %0_out = %0;", valueName(vid)));
     }
     w_.dedent();
@@ -270,7 +165,7 @@ class Emitter {
   /// Operand reference inside a node, stage-adjusted and width-converted.
   std::string operandRef(const dp::DpNode& n, const DpOp& o, int vid, int W) const {
     const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (!isConstValue(vid) && v.def >= 0) {
+    if (!layout_.isConst(vid) && v.def >= 0) {
       const DpOp& defOp = dp_.ops[static_cast<size_t>(v.def)];
       if (defOp.node == n.id && defOp.stage < o.stage) {
         return cvt(vid, W, fmt("%0_s%1", valueName(vid), o.stage));
@@ -283,7 +178,7 @@ class Emitter {
     if (o.op == Opcode::Ldc || o.op == Opcode::Lut) return;
     if (o.result < 0) return;
     const DpValue& r = dp_.values[static_cast<size_t>(o.result)];
-    const std::string dst = valueName(o.result);
+    const std::string_view dst = valueName(o.result);
     const int W = r.width;
     auto in = [&](size_t k) { return operandRef(n, o, o.operands[k], W); };
     auto signedIn = [&](size_t k) { return "$signed(" + operandRef(n, o, o.operands[k], W) + ")"; };
@@ -381,7 +276,7 @@ class Emitter {
   }
 
   void topModule() {
-    const std::string name = sanitize(dp_.name);
+    const std::string& name = layout_.design();
     std::vector<std::string> ports = {"input wire clk", "input wire ce"};
     if (!dp_.feedbacks.empty()) ports.push_back("input wire valid");
     for (const auto& p : dp_.inputs) {
@@ -394,46 +289,11 @@ class Emitter {
     w_.indent();
 
     // Signals: cross-node values, staged copies, feedback registers.
-    std::set<int> crossValues;
-    for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
-      for (int vid : io.inputs) crossValues.insert(vid);
-      for (int vid : io.outputs) crossValues.insert(vid);
+    for (int vid : layout_.topSignals()) {
+      w_.line(fmt("wire [%0:0] %1;", widthOf(vid) - 1, valueName(vid)));
     }
-    for (const auto& port : dp_.outputs) crossValues.insert(port.value);
-    for (const auto& fb : dp_.feedbacks) {
-      crossValues.insert(fb.snxValue);
-      crossValues.insert(fb.lprValue);
-    }
-    for (int vid : crossValues) {
-      if (isConstValue(vid)) continue;
-      const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-      if (v.inputPort >= 0) continue;
-      w_.line(fmt("wire [%0:0] %1;", v.width - 1, valueName(vid)));
-    }
-    struct Chain {
-      int vid;
-      int toStage;
-    };
-    std::vector<Chain> chains;
-    std::set<std::pair<int, int>> chainSignals;
-    auto needChain = [&](int vid, int defStage, int useStage) {
-      for (int s = defStage + 1; s <= useStage; ++s) {
-        if (chainSignals.insert({vid, s}).second) {
-          chains.push_back({vid, s});
-          w_.line(fmt("reg [%0:0] %1_p%2;", widthOf(vid) - 1, valueName(vid), s));
-        }
-      }
-    };
-    for (const auto& o : dp_.ops) {
-      for (int vid : o.operands) {
-        const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-        if (isConstValue(vid)) continue;
-        const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-        const int defNode = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].node : -1;
-        if (defNode == o.node) continue;
-        if (o.stage > defStage) needChain(vid, defStage, o.stage);
-      }
+    for (const auto& c : layout_.chains()) {
+      w_.line(fmt("reg [%0:0] %1_p%2;", widthOf(c.vid) - 1, valueName(c.vid), c.stage));
     }
     for (const auto& fb : dp_.feedbacks) {
       w_.line(fmt("reg [%0:0] %1_fbreg = %0'd%2;", fb.type.width - 1, sanitize(fb.name),
@@ -446,20 +306,20 @@ class Emitter {
     }
 
     // Node instantiations.
-    for (const auto& n : dp_.nodes) {
-      const NodeIO io = analyzeNode(n);
+    for (size_t ni = 0; ni < dp_.nodes.size(); ++ni) {
+      const hdl::NodeLayout& nl = layout_.node(ni);
       std::vector<std::string> assoc;
-      if (nodeNeedsClock(n)) {
+      if (nl.needsClock()) {
         assoc.push_back(".clk(clk)");
         assoc.push_back(".ce(ce)");
       }
-      for (int vid : io.inputs) {
-        assoc.push_back(fmt(".%0(%1)", valueName(vid), topOperandRef(n, vid)));
+      for (size_t i = 0; i < nl.inputs.size(); ++i) {
+        assoc.push_back(fmt(".%0(%1)", valueName(nl.inputs[i]), layout_.topOperandRef(ni, i)));
       }
-      for (int vid : io.outputs) {
+      for (int vid : nl.outputs) {
         assoc.push_back(fmt(".%0_out(%0)", valueName(vid)));
       }
-      w_.line(fmt("%0 u_%1(%2);", nodeModuleName(n), sanitize(n.label), join(assoc, ", ")));
+      w_.line(fmt("%0 u_%1(%2);", nl.entity, nl.instance, join(assoc, ", ")));
     }
 
     // Registers.
@@ -467,12 +327,11 @@ class Emitter {
     w_.indent();
     w_.line("if (ce) begin");
     w_.indent();
-    for (const auto& c : chains) {
-      const DpValue& v = dp_.values[static_cast<size_t>(c.vid)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-      const std::string from =
-          c.toStage - 1 == defStage ? topValueRef(c.vid) : fmt("%0_p%1", valueName(c.vid), c.toStage - 1);
-      w_.line(fmt("%0_p%1 <= %2;", valueName(c.vid), c.toStage, from));
+    for (const auto& c : layout_.chains()) {
+      const std::string from = c.stage - 1 == layout_.defStage(c.vid)
+                                   ? std::string(layout_.topRef(c.vid))
+                                   : fmt("%0_p%1", valueName(c.vid), c.stage - 1);
+      w_.line(fmt("%0_p%1 <= %2;", valueName(c.vid), c.stage, from));
     }
     if (!dp_.feedbacks.empty()) {
       for (int st = 1; st < dp_.stageCount; ++st) {
@@ -498,41 +357,15 @@ class Emitter {
     for (size_t p = 0; p < dp_.outputs.size(); ++p) {
       const auto& port = dp_.outputs[p];
       const DpValue& v = dp_.values[static_cast<size_t>(port.value)];
-      const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
       const int finalStage = dp_.stageCount - 1;
-      std::string src;
-      if (!isConstValue(port.value) && finalStage > defStage &&
-          chainSignals.count({port.value, finalStage})) {
-        src = cvt(port.value, port.type.width, fmt("%0_p%1", valueName(port.value), finalStage));
-      } else {
-        src = cvt(port.value, port.type.width,
-                  v.inputPort >= 0 ? sanitize(dp_.inputs[static_cast<size_t>(v.inputPort)].name)
-                                   : std::string());
-      }
+      const std::string src =
+          layout_.hasChain(port.value, finalStage)
+              ? cvt(port.value, port.type.width, fmt("%0_p%1", valueName(port.value), finalStage))
+              : cvt(port.value, port.type.width, v.inputPort >= 0 ? layout_.inputPort(v.inputPort) : "");
       w_.line(fmt("assign %0 = %1;", sanitize(port.name), src));
     }
     w_.dedent();
     w_.line("endmodule");
-  }
-
-  std::string topValueRef(int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    if (v.inputPort >= 0) return sanitize(dp_.inputs[static_cast<size_t>(v.inputPort)].name);
-    return valueName(vid);
-  }
-
-  std::string topOperandRef(const dp::DpNode& n, int vid) const {
-    const DpValue& v = dp_.values[static_cast<size_t>(vid)];
-    const int defStage = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-    int earliest = INT32_MAX;
-    for (int oi : n.ops) {
-      const DpOp& o = dp_.ops[static_cast<size_t>(oi)];
-      for (int op : o.operands) {
-        if (op == vid) earliest = std::min(earliest, o.stage);
-      }
-    }
-    if (earliest == INT32_MAX || earliest <= defStage) return topValueRef(vid);
-    return fmt("%0_p%1", valueName(vid), earliest);
   }
 };
 
