@@ -896,15 +896,16 @@ struct ServiceDaemon::Impl {
     }
     {
       // Closed under connMutex so the shutdown path can never shutdown()
-      // a reused fd number.
+      // a reused fd number. The metrics update comes before the handler
+      // count drops: once it reaches zero the daemon may be destroyed.
       std::lock_guard<std::mutex> lock(connMutex);
       ::close(conn->fd);
       conn->fd = -1;
       connections.remove(conn);
+      metrics.recordConnectionClosed();
       --activeHandlers;
       connGone.notify_all();
     }
-    metrics.recordConnectionClosed();
   }
 
   void acceptLoop() {

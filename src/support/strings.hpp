@@ -24,10 +24,15 @@ std::string replaceAll(std::string s, const std::string& from, const std::string
 namespace detail {
 
 /// One rendered fmt() argument. Strings are referenced in place and
-/// integers rendered into `digits`; every other type goes through
-/// operator<< into `owned`, so each renders exactly as a stream would.
+/// integers rendered into `digits_`; every other type goes through
+/// operator<< into `owned_`, so each renders exactly as a stream would.
+/// The view may point into the object itself, so it is never copied.
 class FmtArg {
  public:
+  FmtArg() = default;
+  FmtArg(const FmtArg&) = delete;
+  FmtArg& operator=(const FmtArg&) = delete;
+
   template <typename T>
   void set(const T& v) {
     if constexpr (std::is_convertible_v<const T&, std::string_view>) {
@@ -47,7 +52,7 @@ class FmtArg {
 
  private:
   std::string_view view_;
-  char digits_[24]; // fits any 64-bit integer with its sign
+  char digits_[24] = {}; // fits any 64-bit integer with its sign
   std::string owned_;
 };
 
