@@ -1,0 +1,80 @@
+// The 66 benchmark design points the digest pins cover: the nine Table 1
+// kernels and every tests/corpus kernel, each at unroll 1, 2 and 4.
+//
+// Options match the full-text golden tests: Table 1 kernels carry their own
+// stage-delay target (table1_golden_test), corpus kernels use the defaults
+// (corpus_conformance_test); only unrollFactor varies.
+//
+// Users define ROCCC_CORPUS_DIR. The digest tests also share the
+// `--update-goldens` / ROCCC_UPDATE_GOLDENS switch parsed here.
+#pragma once
+
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "../bench/kernels.hpp"
+#include "roccc/compiler.hpp"
+
+namespace roccc::testpoints {
+
+struct DesignPoint {
+  std::string label; // kernel@uN
+  std::string source;
+  CompileOptions options;
+};
+
+inline std::vector<DesignPoint> designPoints() {
+  std::vector<std::pair<std::string, std::string>> corpus;
+  for (const auto& entry : std::filesystem::directory_iterator(ROCCC_CORPUS_DIR)) {
+    if (entry.path().extension() != ".c") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    corpus.emplace_back(entry.path().stem().string(), buf.str());
+  }
+  std::sort(corpus.begin(), corpus.end());
+
+  std::vector<DesignPoint> points;
+  for (const int u : {1, 2, 4}) {
+    const std::string suffix = "@u" + std::to_string(u);
+    for (const auto& k : bench::kTable1Kernels) {
+      DesignPoint p{k.name + suffix, k.source, {}};
+      if (k.targetStageDelayNs > 0) p.options.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
+      p.options.unrollFactor = u;
+      points.push_back(std::move(p));
+    }
+    for (const auto& [name, source] : corpus) {
+      DesignPoint p{name + suffix, source, {}};
+      p.options.unrollFactor = u;
+      points.push_back(std::move(p));
+    }
+  }
+  return points;
+}
+
+/// Strips `--update-goldens` from argv; true when it or a non-zero
+/// ROCCC_UPDATE_GOLDENS asks for the pinned files to be rewritten.
+inline bool takeUpdateGoldensFlag(int& argc, char** argv) {
+  bool update = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--update-goldens") == 0) {
+      update = true;
+      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
+      --argc;
+      break;
+    }
+  }
+  if (const char* env = std::getenv("ROCCC_UPDATE_GOLDENS")) {
+    if (env[0] != '\0' && env[0] != '0') update = true;
+  }
+  return update;
+}
+
+} // namespace roccc::testpoints

@@ -5,9 +5,8 @@
 // unroll 1; this file pins both emitters everywhere else, so an emitter
 // rewrite that moves any byte fails here with the point and language named.
 //
-// Options match the full-text golden tests: Table 1 kernels carry their own
-// stage-delay target (table1_golden_test), corpus kernels use the defaults
-// (corpus_conformance_test); only unrollFactor varies.
+// The design points and their options are shared with ir_digest_test
+// (tests/design_points.hpp).
 //
 // Updating after an intentional code-generation change:
 //
@@ -17,19 +16,12 @@
 // (or set ROCCC_UPDATE_GOLDENS=1).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "../bench/kernels.hpp"
-#include "roccc/compiler.hpp"
+#include "design_points.hpp"
 #include "support/hash.hpp"
 
 namespace roccc {
@@ -38,41 +30,6 @@ namespace {
 bool g_updateGoldens = false;
 
 const std::string kDigestPath = std::string(ROCCC_GOLDEN_DIR) + "/hdl_digests.txt";
-
-struct DesignPoint {
-  std::string label; // kernel@uN
-  std::string source;
-  CompileOptions options;
-};
-
-std::vector<DesignPoint> designPoints() {
-  std::vector<std::pair<std::string, std::string>> corpus;
-  for (const auto& entry : std::filesystem::directory_iterator(ROCCC_CORPUS_DIR)) {
-    if (entry.path().extension() != ".c") continue;
-    std::ifstream in(entry.path());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    corpus.emplace_back(entry.path().stem().string(), buf.str());
-  }
-  std::sort(corpus.begin(), corpus.end());
-
-  std::vector<DesignPoint> points;
-  for (const int u : {1, 2, 4}) {
-    const std::string suffix = "@u" + std::to_string(u);
-    for (const auto& k : bench::kTable1Kernels) {
-      DesignPoint p{k.name + suffix, k.source, {}};
-      if (k.targetStageDelayNs > 0) p.options.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
-      p.options.unrollFactor = u;
-      points.push_back(std::move(p));
-    }
-    for (const auto& [name, source] : corpus) {
-      DesignPoint p{name + suffix, source, {}};
-      p.options.unrollFactor = u;
-      points.push_back(std::move(p));
-    }
-  }
-  return points;
-}
 
 struct Digests {
   std::string vhdl, verilog;
@@ -94,7 +51,7 @@ DigestMap readDigests(std::ifstream& in) {
 
 TEST(HdlDigests, EveryDesignPointMatchesPinnedBytes) {
   DigestMap actual;
-  for (const auto& p : designPoints()) {
+  for (const auto& p : testpoints::designPoints()) {
     const CompileResult r = Compiler(p.options).compileSource(p.source);
     ASSERT_TRUE(r.ok) << p.label << ":\n" << r.diags.dump();
     ASSERT_FALSE(r.vhdl.empty()) << p.label;
@@ -132,17 +89,7 @@ TEST(HdlDigests, EveryDesignPointMatchesPinnedBytes) {
 } // namespace roccc
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--update-goldens") == 0) {
-      roccc::g_updateGoldens = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  if (const char* env = std::getenv("ROCCC_UPDATE_GOLDENS")) {
-    if (env[0] != '\0' && env[0] != '0') roccc::g_updateGoldens = true;
-  }
+  roccc::g_updateGoldens = roccc::testpoints::takeUpdateGoldensFlag(argc, argv);
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }
