@@ -1,16 +1,24 @@
 // Compiler-speed microbenchmarks (google-benchmark): end-to-end compile
-// time per Table 1 kernel, HDL emission time on its own, plus the
+// time per Table 1 kernel, HDL emission and each back-end pass
+// (mir-optimize, build-datapath, retime, build-rtl) on its own, plus the
 // compile-time area estimation the unrolling heuristic relies on (ref [13]
 // reports < 1 ms — ours is far below that) and the cycle-accurate system
 // simulation rate.
 #include <benchmark/benchmark.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "dp/retime.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "hlir/transforms.hpp"
+#include "mir/passes.hpp"
 #include "kernels.hpp"
 #include "roccc/compiler.hpp"
 #include "roccc/driver.hpp"
+#include "rtl/from_dp.hpp"
 #include "synth/estimate.hpp"
 #include "vhdl/emit.hpp"
 #include "vhdl/verilog.hpp"
@@ -73,6 +81,111 @@ void BM_EmitVerilog(benchmark::State& state, const char* source) {
 }
 BENCHMARK_CAPTURE(BM_EmitVerilog, dct, bench::kDct);
 BENCHMARK_CAPTURE(BM_EmitVerilog, cos, bench::kCos);
+
+/// A benchmark design point: a Table 1 kernel (with its own stage-delay
+/// target) or a tests/corpus kernel, at the given unroll factor.
+struct BackendPoint {
+  std::string source;
+  CompileOptions options;
+};
+
+BackendPoint backendPoint(const std::string& kernel, int unroll) {
+  BackendPoint p;
+  p.options.unrollFactor = unroll;
+  for (const auto& k : bench::kTable1Kernels) {
+    if (kernel == k.name) {
+      p.source = k.source;
+      if (k.targetStageDelayNs > 0) p.options.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
+      return p;
+    }
+  }
+  std::ifstream in(std::string(ROCCC_CORPUS_DIR) + "/" + kernel + ".c");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  p.source = buf.str();
+  return p;
+}
+
+/// The pipeline state right after `lastPass`: the input of the pass after it.
+CompileResult compileThrough(const BackendPoint& p, const std::string& lastPass) {
+  const Compiler c(p.options);
+  const PassManager full = c.buildPipeline();
+  PassManager pm;
+  for (const Pass& pass : full.passes()) {
+    pm.addPass(pass);
+    if (pass.name == lastPass) break;
+  }
+  CompileResult r;
+  PassContext ctx(c.options(), r);
+  ctx.source = p.source;
+  std::vector<PassStatistics> stats;
+  r.ok = pm.run(ctx, stats);
+  return r;
+}
+
+// Back-end passes alone: each benchmark compiles its design point once up to
+// the pass, then re-runs only that pass per iteration, on a fresh copy of
+// its input IR where the pass rewrites it in place (the copy is untimed).
+
+void BM_MirOptimize(benchmark::State& state, const char* kernel, int unroll) {
+  const CompileResult r = compileThrough(backendPoint(kernel, unroll), "ssa-build");
+  if (!r.ok) state.SkipWithError("compile failed");
+  for (auto _ : state) {
+    state.PauseTiming();
+    mir::FunctionIR f = r.mir;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(mir::runStandardPasses(f));
+  }
+}
+
+void BM_BuildDatapath(benchmark::State& state, const char* kernel, int unroll) {
+  const BackendPoint p = backendPoint(kernel, unroll);
+  const CompileResult r = compileThrough(p, "mir-optimize");
+  if (!r.ok) state.SkipWithError("compile failed");
+  for (auto _ : state) {
+    dp::DataPath d;
+    DiagEngine diags;
+    benchmark::DoNotOptimize(dp::buildDataPath(r.mir, d, diags, p.options.dpOptions));
+  }
+}
+
+void BM_Retime(benchmark::State& state, const char* kernel, int unroll) {
+  const BackendPoint p = backendPoint(kernel, unroll);
+  const CompileResult r = compileThrough(p, "build-datapath");
+  if (!r.ok) state.SkipWithError("compile failed");
+  dp::RetimeOptions ro;
+  ro.targetNs = p.options.dpOptions.targetStageDelayNs;
+  ro.multStyle = p.options.dpOptions.multStyle;
+  for (auto _ : state) {
+    state.PauseTiming();
+    dp::DataPath d = r.datapath;
+    state.ResumeTiming();
+    dp::RetimeReport rep;
+    DiagEngine diags;
+    benchmark::DoNotOptimize(
+        dp::retimePipeline(d, synth::TimingModel::virtex2(), ro, rep, diags));
+  }
+}
+
+void BM_BuildRtl(benchmark::State& state, const char* kernel, int unroll) {
+  const CompileResult r = compileThrough(backendPoint(kernel, unroll), "retime");
+  if (!r.ok) state.SkipWithError("compile failed");
+  for (auto _ : state) {
+    rtl::Module m;
+    rtl::buildDatapathModule(r.datapath, m);
+    benchmark::DoNotOptimize(m);
+  }
+}
+
+#define ROCCC_BACKEND_BENCH(fn)                              \
+  BENCHMARK_CAPTURE(fn, dct_u1, "dct", 1);                   \
+  BENCHMARK_CAPTURE(fn, square_root_u4, "square_root", 4);   \
+  BENCHMARK_CAPTURE(fn, box3x3_u4, "box3x3", 4);             \
+  BENCHMARK_CAPTURE(fn, bit_correlator_u4, "bit_correlator", 4)
+ROCCC_BACKEND_BENCH(BM_MirOptimize);
+ROCCC_BACKEND_BENCH(BM_BuildDatapath);
+ROCCC_BACKEND_BENCH(BM_Retime);
+ROCCC_BACKEND_BENCH(BM_BuildRtl);
 
 /// The nine Table 1 workloads as one CompileService batch, with the
 /// per-kernel options of bench_table1's rows (bench::kTable1Kernels).

@@ -4,8 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cmath>
-#include <functional>
-#include <map>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -155,17 +154,33 @@ class Builder {
     }
 
     dt_ = mir::computeDominators(fn_);
+    regValue_.assign(static_cast<size_t>(fn_.regCount()), -1);
+    joinMuxNode_.assign(fn_.blocks.size(), -1);
+    // Table capacity: a few ops per instruction (its constants included),
+    // more for a constant multiply's shift-add tree and a divider's rows.
+    size_t capacity = fn_.params.size();
+    for (const auto& b : fn_.blocks) {
+      for (const auto& in : b.instrs) {
+        const bool divider = opt_.expandDividers && (in.op == Opcode::Div || in.op == Opcode::Rem);
+        capacity += divider ? 10 * static_cast<size_t>(in.type.width) + 32 : in.op == Opcode::Mul ? 8 : 3;
+      }
+    }
+    out_.ops.reserve(capacity);
+    out_.values.reserve(capacity);
     createPorts();
     if (!placeOps()) return false;
     insertPipeNodes();
+    // The op graph is final from here on: one topological order serves
+    // width inference and latch placement.
+    const std::vector<int> order = topoOrderOps(out_);
     if (opt_.inferBitWidths) {
       if (opt_.widthMode == BuildOptions::WidthMode::RangeAnalysis) {
-        inferWidths();
+        inferWidths(order);
       } else {
-        inferWidthsPortOpcode();
+        inferWidthsPortOpcode(order);
       }
     }
-    assignStages();
+    assignStages(order);
     computeStats();
     return !failed_;
   }
@@ -178,9 +193,8 @@ class Builder {
   mir::DomTree dt_;
   bool failed_ = false;
 
-  std::map<int, int> regValue_;  ///< MIR reg -> value id
-  std::map<int, int> blockNode_; ///< MIR block -> soft node id
-  std::map<int, int> joinMuxNode_; ///< join block -> mux node id
+  std::vector<int> regValue_;    ///< MIR reg -> value id (-1: not yet defined)
+  std::vector<int> joinMuxNode_; ///< MIR block -> its join mux node id (-1: none)
 
   void fail(std::string msg) {
     diags_.error({}, std::move(msg));
@@ -233,12 +247,12 @@ class Builder {
           ValueRange::constant(Value::fromInt(typeForImm, o.imm).toInt());
       return out_.ops[static_cast<size_t>(opIdx)].result;
     }
-    const auto it = regValue_.find(o.reg);
-    if (it == regValue_.end()) {
+    const int v = regValue_[static_cast<size_t>(o.reg)];
+    if (v < 0) {
       fail(fmt("datapath: use of v%0 before definition", o.reg));
       return newValue(ScalarType::intTy(), "error", -1);
     }
-    return it->second;
+    return v;
   }
 
   void createPorts() {
@@ -320,10 +334,7 @@ class Builder {
       const mir::Block& b = fn_.blocks[static_cast<size_t>(bid)];
       int softNode = -1;
       auto nodeFor = [&]() {
-        if (softNode < 0) {
-          softNode = newNode(NodeKind::Soft, bid, fmt("node%0", out_.nodes.size() + 1));
-          blockNode_[bid] = softNode;
-        }
+        if (softNode < 0) softNode = newNode(NodeKind::Soft, bid, fmt("node%0", out_.nodes.size() + 1));
         return softNode;
       };
       std::optional<Diamond> dia;
@@ -332,7 +343,7 @@ class Builder {
       for (const auto& in : b.instrs) {
         switch (in.op) {
           case Opcode::In:
-            regValue_[in.dst] = out_.inputs[static_cast<size_t>(in.aux0)].value;
+            regValue_[static_cast<size_t>(in.dst)] = out_.inputs[static_cast<size_t>(in.aux0)].value;
             break;
           case Opcode::Out: {
             const int v = valueOf(in.srcs[0], in.type, nodeFor());
@@ -346,14 +357,14 @@ class Builder {
             auto& fb = feedbackOf(in.symbol);
             if (fb.lprValue >= 0) {
               // One physical register: alias further LPRs to the same value.
-              regValue_[in.dst] = fb.lprValue;
+              regValue_[static_cast<size_t>(in.dst)] = fb.lprValue;
               // Drop the duplicate op we just created.
               out_.nodes[static_cast<size_t>(node)].ops.pop_back();
               out_.ops.pop_back();
               out_.values.pop_back();
             } else {
               fb.lprValue = out_.ops[static_cast<size_t>(opIdx)].result;
-              regValue_[in.dst] = fb.lprValue;
+              regValue_[static_cast<size_t>(in.dst)] = fb.lprValue;
             }
             break;
           }
@@ -367,14 +378,14 @@ class Builder {
               dia = analyzeJoin(b);
               if (!dia) return false;
               muxNode = newNode(NodeKind::Mux, bid, fmt("mux@bb%0", bid));
-              joinMuxNode_[bid] = muxNode;
+              joinMuxNode_[static_cast<size_t>(bid)] = muxNode;
             }
             const int sel = valueOf(mir::Operand::ofReg(dia->selReg), ScalarType::boolTy(), muxNode);
             const int tv = valueOf(in.srcs[dia->truePredSlot], in.type, muxNode);
             const int fv = valueOf(in.srcs[1 - dia->truePredSlot], in.type, muxNode);
             const int opIdx = addOp(Opcode::Mux, in.type, {sel, tv, fv}, muxNode,
                                     fn_.regNames[static_cast<size_t>(in.dst)]);
-            regValue_[in.dst] = out_.ops[static_cast<size_t>(opIdx)].result;
+            regValue_[static_cast<size_t>(in.dst)] = out_.ops[static_cast<size_t>(opIdx)].result;
             ++out_.muxOpCount;
             break;
           }
@@ -385,7 +396,7 @@ class Builder {
           case Opcode::Div:
           case Opcode::Rem:
             if (opt_.expandDividers) {
-              regValue_[in.dst] = emitRestoringDivider(in, in.op == Opcode::Rem, nodeFor());
+              regValue_[static_cast<size_t>(in.dst)] = emitRestoringDivider(in, in.op == Opcode::Rem, nodeFor());
               break;
             }
             placeGenericOp(in, nodeFor());
@@ -396,7 +407,7 @@ class Builder {
             if (opt_.multStyle == BuildOptions::MultStyle::Lut) {
               const auto c = constantOperand(in);
               if (c) {
-                regValue_[in.dst] = emitCsdMultiply(in, *c, nodeFor());
+                regValue_[static_cast<size_t>(in.dst)] = emitCsdMultiply(in, *c, nodeFor());
                 break;
               }
             }
@@ -426,9 +437,9 @@ class Builder {
       const mir::Operand& o = in.srcs[static_cast<size_t>(side)];
       if (o.isImm()) return std::make_pair(side, o.imm);
       if (o.isReg()) {
-        const auto it = regValue_.find(o.reg);
-        if (it != regValue_.end()) {
-          const DpValue& v = out_.values[static_cast<size_t>(it->second)];
+        const int vid = regValue_[static_cast<size_t>(o.reg)];
+        if (vid >= 0) {
+          const DpValue& v = out_.values[static_cast<size_t>(vid)];
           if (v.def >= 0 && out_.ops[static_cast<size_t>(v.def)].op == Opcode::Ldc) {
             return std::make_pair(side, out_.ops[static_cast<size_t>(v.def)].imm);
           }
@@ -610,7 +621,7 @@ class Builder {
       out_.values[static_cast<size_t>(o.result)].range =
           ValueRange::constant(Value::fromInt(in.type, in.imm).toInt());
     }
-    if (in.hasDst()) regValue_[in.dst] = o.result;
+    if (in.hasDst()) regValue_[static_cast<size_t>(in.dst)] = o.result;
   }
 
   // --- pipe nodes ------------------------------------------------------------
@@ -618,44 +629,94 @@ class Builder {
   /// For each diamond, values defined above the branch and consumed at or
   /// after the join are routed through a PIPE hard node (paper Fig 6 node 6)
   /// so every definition-reference pair stays adjoining.
+  ///
+  /// A use in block B of a value defined in block A is rerouted by join J
+  /// when A strictly dominates J and J dominates B: J lies on the dominator
+  /// tree path from B up to, not including, A. Joins take their turns in
+  /// block-id order and a rerouted use reads a pipe copy no later join
+  /// touches, so each use goes through the lowest-numbered such join. One
+  /// walk of the dominator tree finds it for every use.
   void insertPipeNodes() {
-    for (const auto& [joinBid, muxNode] : joinMuxNode_) {
-      const int d = dt_.idom[static_cast<size_t>(joinBid)];
-      // Values defined in blocks dominating the branch head.
-      auto definedAbove = [&](const DpValue& v) {
-        if (v.inputPort >= 0) return true;
-        if (v.def < 0) return false;
-        const DpOp& defOp = out_.ops[static_cast<size_t>(v.def)];
-        if (defOp.op == Opcode::Ldc) return false; // constants are free everywhere
-        const DpNode& n = out_.nodes[static_cast<size_t>(defOp.node)];
-        if (n.cfgBlock < 0) return false;
-        return dt_.dominates(n.cfgBlock, d) || n.cfgBlock == d;
-      };
-      // Ops at or after the join (including its mux node).
-      auto consumesAtOrAfterJoin = [&](const DpOp& o) {
-        const DpNode& n = out_.nodes[static_cast<size_t>(o.node)];
-        if (n.id == muxNode) return true;
-        if (n.cfgBlock < 0) return false;
-        return n.cfgBlock == joinBid || dt_.dominates(joinBid, n.cfgBlock);
-      };
+    if (std::all_of(joinMuxNode_.begin(), joinMuxNode_.end(), [](int n) { return n < 0; })) return;
+    const size_t nBlocks = fn_.blocks.size();
+    constexpr int kNone = std::numeric_limits<int>::max();
+    std::vector<std::vector<int>> domChildren(nBlocks), blockNodes(nBlocks);
+    for (size_t b = 1; b < nBlocks; ++b) {
+      if (dt_.idom[b] >= 0) domChildren[static_cast<size_t>(dt_.idom[b])].push_back(static_cast<int>(b));
+    }
+    for (const DpNode& n : out_.nodes) {
+      if (n.cfgBlock >= 0) blockNodes[static_cast<size_t>(n.cfgBlock)].push_back(n.id);
+    }
 
-      std::map<int, std::vector<std::pair<int, size_t>>> rerouted; // value -> (op, operand slot)
-      for (size_t oi = 0; oi < out_.ops.size(); ++oi) {
-        DpOp& o = out_.ops[oi];
-        if (!consumesAtOrAfterJoin(o)) continue;
-        for (size_t s = 0; s < o.operands.size(); ++s) {
-          const DpValue& v = out_.values[static_cast<size_t>(o.operands[s])];
-          if (definedAbove(v)) rerouted[v.id].emplace_back(static_cast<int>(oi), s);
+    struct Use {
+      int join, value, op;
+      size_t slot;
+    };
+    std::vector<Use> uses;
+    // The dominator-tree path to the current block: its blocks by depth and,
+    // per depth, the lowest join id at that depth or below.
+    std::vector<int> path, pathMin, depth(nBlocks, -1);
+    std::vector<std::pair<int, size_t>> stack{{0, 0}};
+    auto enter = [&](int b) {
+      depth[static_cast<size_t>(b)] = static_cast<int>(path.size());
+      path.push_back(b);
+      pathMin.resize(path.size());
+      int m = kNone;
+      for (size_t i = path.size(); i-- > 0;) {
+        if (joinMuxNode_[static_cast<size_t>(path[i])] >= 0) m = std::min(m, path[i]);
+        pathMin[i] = m;
+      }
+      if (pathMin[0] == kNone) return; // no join dominates b
+      for (int nid : blockNodes[static_cast<size_t>(b)]) {
+        for (int oi : out_.nodes[static_cast<size_t>(nid)].ops) {
+          const DpOp& o = out_.ops[static_cast<size_t>(oi)];
+          for (size_t s = 0; s < o.operands.size(); ++s) {
+            const DpValue& v = out_.values[static_cast<size_t>(o.operands[s])];
+            int join = kNone;
+            if (v.inputPort >= 0) {
+              join = pathMin[0]; // defined above every block
+            } else if (v.def >= 0) {
+              const DpOp& defOp = out_.ops[static_cast<size_t>(v.def)];
+              if (defOp.op == Opcode::Ldc) continue; // constants are free everywhere
+              const int a = out_.nodes[static_cast<size_t>(defOp.node)].cfgBlock;
+              if (a < 0 || a == b || !dt_.dominates(a, b)) continue;
+              join = pathMin[static_cast<size_t>(depth[static_cast<size_t>(a)]) + 1];
+            }
+            if (join != kNone) uses.push_back({join, v.id, oi, s});
+          }
         }
       }
-      if (rerouted.empty()) continue;
-      const int pipeNode = newNode(NodeKind::Pipe, -1, fmt("pipe@bb%0", joinBid));
-      for (const auto& [vid, uses] : rerouted) {
+    };
+    enter(0);
+    while (!stack.empty()) {
+      auto& [b, next] = stack.back();
+      const std::vector<int>& kids = domChildren[static_cast<size_t>(b)];
+      if (next < kids.size()) {
+        const int c = kids[next++];
+        stack.emplace_back(c, 0);
+        enter(c);
+        continue;
+      }
+      stack.pop_back();
+      path.pop_back();
+    }
+    if (uses.empty()) return;
+
+    // One pipe node per join, one copy per rerouted value, in (join, value)
+    // order.
+    std::sort(uses.begin(), uses.end(), [](const Use& x, const Use& y) {
+      return x.join != y.join ? x.join < y.join : x.value < y.value;
+    });
+    for (size_t i = 0; i < uses.size();) {
+      const int join = uses[i].join;
+      const int pipeNode = newNode(NodeKind::Pipe, -1, fmt("pipe@bb%0", join));
+      while (i < uses.size() && uses[i].join == join) {
+        const int vid = uses[i].value;
         const DpValue& src = out_.values[static_cast<size_t>(vid)];
         const int movIdx = addOp(Opcode::Mov, src.declared, {vid}, pipeNode, src.name + "_pipe");
         const int copy = out_.ops[static_cast<size_t>(movIdx)].result;
-        for (const auto& [oi, slot] : uses) {
-          out_.ops[static_cast<size_t>(oi)].operands[slot] = copy;
+        for (; i < uses.size() && uses[i].join == join && uses[i].value == vid; ++i) {
+          out_.ops[static_cast<size_t>(uses[i].op)].operands[uses[i].slot] = copy;
         }
         // Outputs / feedback stores referencing the original keep it (they
         // sit at the exit, where the copy is equivalent; keep rewiring
@@ -673,9 +734,7 @@ class Builder {
 
   // --- bit-width inference ------------------------------------------------------
 
-  void inferWidths() {
-    // Topological order over values via op dependencies.
-    const std::vector<int> order = topoOrderOps(out_);
+  void inferWidths(const std::vector<int>& order) {
     // Input ports and LPRs already carry their declared ranges.
     for (auto& fbv : out_.feedbacks) {
       if (fbv.lprValue >= 0) {
@@ -771,8 +830,7 @@ class Builder {
   /// value's declared (C-semantics) width. No value ranges — a constant 3
   /// is as wide as its literal type says. Sound because every formula
   /// bounds the true value range of the operation.
-  void inferWidthsPortOpcode() {
-    const std::vector<int> order = topoOrderOps(out_);
+  void inferWidthsPortOpcode(const std::vector<int>& order) {
     for (auto& fbv : out_.feedbacks) {
       if (fbv.lprValue >= 0) {
         DpValue& v = out_.values[static_cast<size_t>(fbv.lprValue)];
@@ -890,13 +948,14 @@ class Builder {
 
   // --- pipelining ------------------------------------------------------------------
 
-  void assignStages() {
+  void assignStages(const std::vector<int>& order) {
     std::vector<double> delay(out_.ops.size(), 0);
     for (size_t oi = 0; oi < out_.ops.size(); ++oi) {
       delay[oi] = timedOpDelayNs(out_, out_.ops[oi], synth::TimingModel::virtex2(),
                                  opt_.multStyle);
     }
-    assignStagesGreedy(out_, delay, opt_.targetStageDelayNs, opt_.pipeline);
+    assignStagesGreedy(out_, delay, opt_.targetStageDelayNs, opt_.pipeline, order,
+                       feedbackConeOf(out_));
   }
 
   void computeStats() {
@@ -920,18 +979,29 @@ class Builder {
 // timing-driven retime pass, src/dp/retime.cpp)
 // ---------------------------------------------------------------------------
 
+ValueConsumers::ValueConsumers(const DataPath& d) : start(d.values.size() + 1, 0) {
+  for (const auto& o : d.ops) {
+    for (int v : o.operands) ++start[static_cast<size_t>(v) + 1];
+  }
+  for (size_t v = 0; v < d.values.size(); ++v) start[v + 1] += start[v];
+  ops.resize(static_cast<size_t>(start.back()));
+  std::vector<int> fill(start.begin(), start.end() - 1);
+  for (size_t oi = 0; oi < d.ops.size(); ++oi) {
+    for (int v : d.ops[oi].operands) ops[static_cast<size_t>(fill[static_cast<size_t>(v)]++)] = static_cast<int>(oi);
+  }
+}
+
 std::vector<int> topoOrderOps(const DataPath& d) {
   // Kahn over value dependencies; ops only depend on op-produced values.
   std::vector<int> indeg(d.ops.size(), 0);
-  std::vector<std::vector<int>> consumers(d.values.size());
   for (size_t oi = 0; oi < d.ops.size(); ++oi) {
     for (int v : d.ops[oi].operands) {
-      const int def = d.values[static_cast<size_t>(v)].def;
-      if (def >= 0) ++indeg[oi];
-      consumers[static_cast<size_t>(v)].push_back(static_cast<int>(oi));
+      if (d.values[static_cast<size_t>(v)].def >= 0) ++indeg[oi];
     }
   }
+  const ValueConsumers consumers(d);
   std::vector<int> ready, order;
+  order.reserve(d.ops.size());
   for (size_t oi = 0; oi < d.ops.size(); ++oi) {
     if (indeg[oi] == 0) ready.push_back(static_cast<int>(oi));
   }
@@ -941,7 +1011,7 @@ std::vector<int> topoOrderOps(const DataPath& d) {
     order.push_back(oi);
     const int res = d.ops[static_cast<size_t>(oi)].result;
     if (res < 0) continue;
-    for (int c : consumers[static_cast<size_t>(res)]) {
+    for (int c : consumers.of(res)) {
       if (--indeg[static_cast<size_t>(c)] == 0) ready.push_back(c);
     }
   }
@@ -957,33 +1027,35 @@ std::vector<int> feedbackConeOf(const DataPath& d) {
   // Ops on a path LPR -> SNX for the same register must share a stage (the
   // loop closes through one register, Fig 7).
   std::vector<int> coneOf(d.ops.size(), -1);
+  if (d.feedbacks.empty()) return coneOf;
+  const ValueConsumers consumers(d);
+  std::vector<char> fromLpr(d.ops.size()), toSnx(d.ops.size());
+  std::vector<int> work;
   for (size_t fi = 0; fi < d.feedbacks.size(); ++fi) {
     const auto& fb = d.feedbacks[fi];
     if (fb.lprValue < 0 || fb.snxValue < 0) continue;
-    // Forward-reachable from the LPR value.
-    std::vector<char> fromLpr(d.ops.size(), 0);
-    std::function<void(int)> mark = [&](int vid) {
-      for (size_t oi = 0; oi < d.ops.size(); ++oi) {
-        if (fromLpr[oi]) continue;
-        for (int op : d.ops[oi].operands) {
-          if (op == vid) {
-            fromLpr[oi] = 1;
-            if (d.ops[oi].result >= 0) mark(d.ops[oi].result);
-            break;
-          }
-        }
+    // Forward-reachable from the LPR value: every op consuming a reached value.
+    std::fill(fromLpr.begin(), fromLpr.end(), 0);
+    work.assign(1, fb.lprValue);
+    while (!work.empty()) {
+      const int vid = work.back();
+      work.pop_back();
+      for (int oi : consumers.of(vid)) {
+        if (fromLpr[static_cast<size_t>(oi)]) continue;
+        fromLpr[static_cast<size_t>(oi)] = 1;
+        if (d.ops[static_cast<size_t>(oi)].result >= 0) work.push_back(d.ops[static_cast<size_t>(oi)].result);
       }
-    };
-    mark(fb.lprValue);
-    // Backward from the SNX value.
-    std::vector<char> toSnx(d.ops.size(), 0);
-    std::function<void(int)> markBack = [&](int vid) {
-      const int def = d.values[static_cast<size_t>(vid)].def;
-      if (def < 0 || toSnx[static_cast<size_t>(def)]) return;
+    }
+    // Backward from the SNX value: every op it transitively depends on.
+    std::fill(toSnx.begin(), toSnx.end(), 0);
+    work.assign(1, fb.snxValue);
+    while (!work.empty()) {
+      const int def = d.values[static_cast<size_t>(work.back())].def;
+      work.pop_back();
+      if (def < 0 || toSnx[static_cast<size_t>(def)]) continue;
       toSnx[static_cast<size_t>(def)] = 1;
-      for (int op : d.ops[static_cast<size_t>(def)].operands) markBack(op);
-    };
-    markBack(fb.snxValue);
+      for (int op : d.ops[static_cast<size_t>(def)].operands) work.push_back(op);
+    }
     for (size_t oi = 0; oi < d.ops.size(); ++oi) {
       if (fromLpr[oi] && toSnx[oi]) coneOf[oi] = static_cast<int>(fi);
     }
@@ -995,9 +1067,8 @@ std::vector<int> feedbackConeOf(const DataPath& d) {
 }
 
 void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double targetNs,
-                        bool pipeline) {
-  const std::vector<int> order = topoOrderOps(d);
-  const std::vector<int> coneOf = feedbackConeOf(d);
+                        bool pipeline, const std::vector<int>& order,
+                        const std::vector<int>& coneOf) {
 
   if (!pipeline) {
     for (auto& o : d.ops) o.stage = 0;

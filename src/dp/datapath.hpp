@@ -15,6 +15,7 @@
 //    opcodes (sections 4.2.4, 5).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,18 @@ double opDelayNs(mir::Opcode op, int width, BuildOptions::MultStyle style);
 double timedOpDelayNs(const DataPath& d, const DpOp& o, const synth::TimingModel& model,
                       BuildOptions::MultStyle style);
 
+/// The ops reading each value, one entry per operand slot, in op order:
+/// a flat table with one offset per value instead of a list per value.
+struct ValueConsumers {
+  explicit ValueConsumers(const DataPath& d);
+  std::span<const int> of(int value) const {
+    return {ops.data() + start[static_cast<size_t>(value)],
+            ops.data() + start[static_cast<size_t>(value) + 1]};
+  }
+  std::vector<int> start; ///< value -> first entry; start[values] = ops.size()
+  std::vector<int> ops;
+};
+
 /// Topological order of d.ops over value dependencies. Throws
 /// InternalCompilerError if the op graph has a combinational cycle.
 std::vector<int> topoOrderOps(const DataPath& d);
@@ -166,10 +179,13 @@ std::vector<int> feedbackConeOf(const DataPath& d);
 /// Greedy ASAP latch placement: walks ops in topological order accumulating
 /// within-stage delay from `delay` (indexed by op), opening a new stage when
 /// the budget would be exceeded, pinning each feedback cone to one stage.
+/// `order` is topoOrderOps(d) and `coneOf` feedbackConeOf(d), which callers
+/// compute once and share with their own passes over the graph.
 /// Rewrites op stages/pathDelayNs, stageCount, feedback stages and output
 /// stages. The `retime` pass refines this seed placement.
 void assignStagesGreedy(DataPath& d, const std::vector<double>& delay, double targetNs,
-                        bool pipeline);
+                        bool pipeline, const std::vector<int>& order,
+                        const std::vector<int>& coneOf);
 
 /// Recomputes the stage-crossing register statistics (pipelineRegisterBits,
 /// balanceRegisterBits) from the current op stages.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
@@ -35,6 +37,28 @@ std::vector<double> computeStageDelays(DataPath& d, const std::vector<double>& d
     o.pathDelayNs = in + delay[static_cast<size_t>(oi)];
     worst[static_cast<size_t>(o.stage)] = std::max(worst[static_cast<size_t>(o.stage)],
                                                    o.pathDelayNs);
+  }
+  return worst;
+}
+
+/// The same accumulation over one stage's members (in topological order),
+/// all labelled `stage`: a stage's path delays depend only on its own ops,
+/// so this returns the bit-identical worst computeStageDelays gives it.
+double stageDelay(DataPath& d, const std::vector<double>& delay, const std::vector<int>& members,
+                  int stage) {
+  double worst = 0.0;
+  for (int oi : members) {
+    DpOp& o = d.ops[static_cast<size_t>(oi)];
+    double in = 0;
+    for (int vid : o.operands) {
+      const DpValue& v = d.values[static_cast<size_t>(vid)];
+      if (v.def < 0) continue;
+      const DpOp& defOp = d.ops[static_cast<size_t>(v.def)];
+      if (defOp.op == Opcode::Ldc) continue;
+      if (defOp.stage == stage) in = std::max(in, defOp.pathDelayNs);
+    }
+    o.pathDelayNs = in + delay[static_cast<size_t>(oi)];
+    worst = std::max(worst, o.pathDelayNs);
   }
   return worst;
 }
@@ -94,40 +118,64 @@ bool retimePipeline(DataPath& d, const synth::TimingModel& model, const RetimeOp
 
   // 1. Seed: re-stage from scratch against this model (which may differ from
   //    the built-in table the Builder placed with).
-  assignStagesGreedy(d, delay, opt.targetNs, /*pipeline=*/true);
+  assignStagesGreedy(d, delay, opt.targetNs, /*pipeline=*/true, order, coneOf);
+
+  // Stage members in topological order; `pos` ranks ops in that order.
+  std::vector<int> pos(d.ops.size());
+  for (size_t i = 0; i < order.size(); ++i) pos[static_cast<size_t>(order[i])] = static_cast<int>(i);
+  auto byPos = [&](int a, int b) { return pos[static_cast<size_t>(a)] < pos[static_cast<size_t>(b)]; };
+  std::vector<std::vector<int>> members(static_cast<size_t>(d.stageCount));
+  for (int oi : order) members[static_cast<size_t>(d.ops[static_cast<size_t>(oi)].stage)].push_back(oi);
+  auto relabel = [&](const std::vector<int>& ops, int stage) {
+    for (int oi : ops) d.ops[static_cast<size_t>(oi)].stage = stage;
+  };
 
   // 2. Merge: fuse adjacent stage pairs whose combined path still fits the
-  //    budget. Repeats until no pair fits (loose targets collapse).
-  bool mergedAny = true;
-  while (mergedAny && d.stageCount > 1) {
-    mergedAny = false;
-    for (int s = 0; s + 1 < d.stageCount; ++s) {
-      std::vector<int> saved(d.ops.size());
-      for (size_t oi = 0; oi < d.ops.size(); ++oi) saved[oi] = d.ops[oi].stage;
-      for (auto& o : d.ops) {
-        if (o.stage > s) o.stage -= 1; // tentatively fuse s+1 into s
-      }
-      std::vector<double> worst = computeStageDelays(d, delay, order);
-      if (worst[static_cast<size_t>(s)] <= opt.targetNs + kEps) {
-        d.stageCount -= 1;
-        rep.merges += 1;
-        mergedAny = true;
-        break; // rescan from the front with the new numbering
-      }
-      for (size_t oi = 0; oi < d.ops.size(); ++oi) d.ops[oi].stage = saved[oi]; // revert
+  //    budget (loose targets collapse). Only the fused pair is re-timed;
+  //    ops keep their seed stage as a label, unique per stage, until the
+  //    merges are done. After a merge the same index is tried again with
+  //    its next neighbour: every earlier pair still fails, since a stage
+  //    only grows and path delays never shrink when ops join a stage.
+  std::vector<int> label(members.size());
+  for (size_t s = 0; s < label.size(); ++s) label[s] = static_cast<int>(s);
+  std::vector<int> fused;
+  for (size_t s = 0; s + 1 < members.size();) {
+    fused.clear();
+    std::merge(members[s].begin(), members[s].end(), members[s + 1].begin(),
+               members[s + 1].end(), std::back_inserter(fused), byPos);
+    relabel(members[s + 1], label[s]); // tentatively fuse s+1 into s
+    if (stageDelay(d, delay, fused, label[s]) <= opt.targetNs + kEps) {
+      members[s].swap(fused);
+      members.erase(members.begin() + static_cast<std::ptrdiff_t>(s) + 1);
+      label.erase(label.begin() + static_cast<std::ptrdiff_t>(s) + 1);
+      d.stageCount -= 1;
+      rep.merges += 1;
+    } else {
+      relabel(members[s + 1], label[s + 1]); // revert
+      ++s;
     }
+  }
+  if (rep.merges > 0) {
+    for (size_t s = 0; s < members.size(); ++s) relabel(members[s], static_cast<int>(s));
   }
 
   // 3. Balance: move chain-head ops down (and chain-tail ops up) out of the
   //    critical stage while the global worst-stage delay improves. This
   //    never changes the stage count — it trades slack between neighbors.
-  std::vector<std::vector<int>> consumers(d.values.size());
-  for (size_t oi = 0; oi < d.ops.size(); ++oi) {
-    for (int vid : d.ops[oi].operands) {
-      consumers[static_cast<size_t>(vid)].push_back(static_cast<int>(oi));
-    }
+  //    A trial move re-times only the two stages it touches.
+  const ValueConsumers consumers(d);
+  std::vector<double> worst(members.size());
+  for (size_t s = 0; s < members.size(); ++s) {
+    worst[s] = stageDelay(d, delay, members[s], static_cast<int>(s));
   }
-  std::vector<double> worst = computeStageDelays(d, delay, order);
+  auto moveOp = [&](int oi, int from, int to) {
+    auto& src = members[static_cast<size_t>(from)];
+    src.erase(std::lower_bound(src.begin(), src.end(), oi, byPos));
+    auto& dst = members[static_cast<size_t>(to)];
+    dst.insert(std::lower_bound(dst.begin(), dst.end(), oi, byPos), oi);
+    d.ops[static_cast<size_t>(oi)].stage = to;
+  };
+  std::vector<int> candidates;
   for (int iter = 0; iter < opt.maxBalanceIterations; ++iter) {
     int critical = 0;
     for (int s = 1; s < d.stageCount; ++s) {
@@ -135,9 +183,10 @@ bool retimePipeline(DataPath& d, const synth::TimingModel& model, const RetimeOp
     }
     const double before = worst[static_cast<size_t>(critical)];
     bool moved = false;
-    for (int oi : order) {
-      DpOp& o = d.ops[static_cast<size_t>(oi)];
-      if (o.stage != critical || coneOf[static_cast<size_t>(oi)] >= 0) continue;
+    candidates = members[static_cast<size_t>(critical)];
+    for (int oi : candidates) {
+      const DpOp& o = d.ops[static_cast<size_t>(oi)];
+      if (coneOf[static_cast<size_t>(oi)] >= 0) continue;
       if (o.result < 0 || delay[static_cast<size_t>(oi)] <= 0) continue;
       // Head hoist: every real operand already lives in an earlier stage.
       bool headOk = critical > 0;
@@ -148,30 +197,32 @@ bool retimePipeline(DataPath& d, const synth::TimingModel& model, const RetimeOp
         if (def < 0 || d.ops[static_cast<size_t>(def)].op == Opcode::Ldc) continue;
         if (d.ops[static_cast<size_t>(def)].stage >= critical) headOk = false;
       }
-      for (int c : consumers[static_cast<size_t>(o.result)]) {
+      for (int c : consumers.of(o.result)) {
         if (d.ops[static_cast<size_t>(c)].stage <= critical) tailOk = false;
       }
       for (int dir = 0; dir < 2 && !moved; ++dir) {
         const bool hoist = dir == 0;
         if (hoist ? !headOk : !tailOk) continue;
-        o.stage = hoist ? critical - 1 : critical + 1;
-        std::vector<double> trial = computeStageDelays(d, delay, order);
-        double trialWorst = 0;
-        for (double t : trial) trialWorst = std::max(trialWorst, t);
+        const int target = hoist ? critical - 1 : critical + 1;
+        moveOp(oi, critical, target);
+        const double critNs = stageDelay(d, delay, members[static_cast<size_t>(critical)], critical);
+        const double targetNs = stageDelay(d, delay, members[static_cast<size_t>(target)], target);
+        double trialWorst = std::max(critNs, targetNs);
+        for (int s = 0; s < d.stageCount; ++s) {
+          if (s != critical && s != target) trialWorst = std::max(trialWorst, worst[static_cast<size_t>(s)]);
+        }
         if (trialWorst < before - kEps) {
-          worst = std::move(trial);
+          worst[static_cast<size_t>(critical)] = critNs;
+          worst[static_cast<size_t>(target)] = targetNs;
           rep.movedOps += 1;
           moved = true;
         } else {
-          o.stage = critical;
+          moveOp(oi, target, critical);
         }
       }
       if (moved) break;
     }
-    if (!moved) {
-      computeStageDelays(d, delay, order); // restore pathDelayNs after trials
-      break;
-    }
+    if (!moved) break;
   }
 
   // Final bookkeeping: stage count, feedback/output stages, statistics.

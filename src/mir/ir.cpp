@@ -272,24 +272,38 @@ bool FunctionIR::verifySSA(std::vector<std::string>& errors) const {
 // --- analyses -------------------------------------------------------------------
 
 std::vector<int> reversePostOrder(const FunctionIR& f) {
+  // Iterative DFS: each frame is (block, index of the next successor).
   std::vector<int> order;
+  if (f.blocks.empty()) return order;
+  order.reserve(f.blocks.size());
   std::vector<char> visited(f.blocks.size(), 0);
-  std::function<void(int)> dfs = [&](int b) {
-    visited[static_cast<size_t>(b)] = 1;
-    for (int s : f.blocks[static_cast<size_t>(b)].succs) {
-      if (!visited[static_cast<size_t>(s)]) dfs(s);
+  std::vector<std::pair<int, size_t>> stack{{0, 0}};
+  visited[0] = 1;
+  while (!stack.empty()) {
+    auto& [b, next] = stack.back();
+    const std::vector<int>& succs = f.blocks[static_cast<size_t>(b)].succs;
+    if (next < succs.size()) {
+      const int s = succs[next++];
+      if (!visited[static_cast<size_t>(s)]) {
+        visited[static_cast<size_t>(s)] = 1;
+        stack.emplace_back(s, 0);
+      }
+      continue;
     }
     order.push_back(b);
-  };
-  dfs(0);
+    stack.pop_back();
+  }
   std::reverse(order.begin(), order.end());
   return order;
 }
 
 bool DomTree::dominates(int a, int b) const {
-  // Walk up from b; the entry is its own idom.
-  while (b != a && idom[static_cast<size_t>(b)] != b) b = idom[static_cast<size_t>(b)];
-  return a == b;
+  // Dominator-tree DFS intervals: a dominates b iff b's interval nests in
+  // a's. Blocks outside the tree (unreachable) only dominate themselves.
+  const int pa = pre[static_cast<size_t>(a)];
+  const int pb = pre[static_cast<size_t>(b)];
+  if (pa < 0 || pb < 0) return a == b;
+  return pa <= pb && post[static_cast<size_t>(b)] <= post[static_cast<size_t>(a)];
 }
 
 DomTree computeDominators(const FunctionIR& f) {
@@ -337,6 +351,32 @@ DomTree computeDominators(const FunctionIR& f) {
         if (runner == dt.idom[static_cast<size_t>(runner)]) break; // entry
         runner = dt.idom[static_cast<size_t>(runner)];
       }
+    }
+  }
+
+  // Pre/post numbers of an iterative DFS over the dominator tree, for O(1)
+  // dominates() queries.
+  std::vector<std::vector<int>> children(f.blocks.size());
+  for (size_t b = 1; b < f.blocks.size(); ++b) {
+    if (dt.idom[b] >= 0) children[static_cast<size_t>(dt.idom[b])].push_back(static_cast<int>(b));
+  }
+  dt.pre.assign(f.blocks.size(), -1);
+  dt.post.assign(f.blocks.size(), -1);
+  if (!f.blocks.empty()) {
+    int clock = 0;
+    std::vector<std::pair<int, size_t>> stack{{0, 0}};
+    dt.pre[0] = clock++;
+    while (!stack.empty()) {
+      auto& [b, next] = stack.back();
+      const std::vector<int>& kids = children[static_cast<size_t>(b)];
+      if (next < kids.size()) {
+        const int c = kids[next++];
+        dt.pre[static_cast<size_t>(c)] = clock++;
+        stack.emplace_back(c, 0);
+        continue;
+      }
+      dt.post[static_cast<size_t>(b)] = clock++;
+      stack.pop_back();
     }
   }
   return dt;

@@ -146,6 +146,9 @@ struct DomTree {
   std::vector<int> idom;
   /// Dominance frontier per block.
   std::vector<std::set<int>> frontier;
+  /// Pre/post numbers of a DFS over the dominator tree (-1: unreachable).
+  std::vector<int> pre, post;
+  /// O(1): a dominates b (every block dominates itself).
   bool dominates(int a, int b) const;
 };
 DomTree computeDominators(const FunctionIR& f);

@@ -1,9 +1,12 @@
 #include "mir/passes.hpp"
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <string_view>
 
 #include "mir/exec.hpp"
 #include "support/budget.hpp"
@@ -12,13 +15,17 @@
 
 namespace roccc::mir {
 
+// Every pass below does O(instructions + operands) work per call: per-register
+// facts live in vectors indexed by the dense register id, and the block order
+// is computed once per call.
+
 namespace {
 
-/// Applies `fn` to every instruction in RPO block order.
-void forEachInstrRpo(FunctionIR& f, const std::function<void(Block&, Instr&)>& fn) {
-  for (int bid : reversePostOrder(f)) {
-    Block& b = f.blocks[static_cast<size_t>(bid)];
-    for (auto& in : b.instrs) fn(b, in);
+/// Applies `fn` to every instruction of the blocks in `order`.
+template <typename Fn>
+void forEachInstr(FunctionIR& f, const std::vector<int>& order, Fn&& fn) {
+  for (int bid : order) {
+    for (auto& in : f.blocks[static_cast<size_t>(bid)].instrs) fn(in);
   }
 }
 
@@ -37,19 +44,26 @@ bool nonNegative(const FunctionIR& f, const Operand& o) {
 } // namespace
 
 int constantPropagate(FunctionIR& f) {
-  int changes = 0;
-  std::map<int, Value> constants; // SSA reg -> known constant
+  const std::vector<int> rpo = reversePostOrder(f);
+  const size_t nRegs = static_cast<size_t>(f.regCount());
+  std::vector<Value> constants(nRegs); // SSA reg -> known constant
+  std::vector<char> known(nRegs, 0);
+  auto isKnown = [&](const Operand& o) { return o.isReg() && known[static_cast<size_t>(o.reg)]; };
+  auto learn = [&](int reg, const Value& v) {
+    constants[static_cast<size_t>(reg)] = v;
+    known[static_cast<size_t>(reg)] = 1;
+  };
 
   // Seed + propagate in RPO (SSA defs dominate uses, so one pass per
   // fixpoint round suffices; phi handling makes extra rounds useful).
+  std::vector<Value> ops;
   bool changed = true;
   while (changed) {
     changed = false;
-    forEachInstrRpo(f, [&](Block& b, Instr& in) {
-      (void)b;
-      if (!in.hasDst() || constants.count(in.dst)) return;
+    forEachInstr(f, rpo, [&](Instr& in) {
+      if (!in.hasDst() || known[static_cast<size_t>(in.dst)]) return;
       if (in.op == Opcode::Ldc) {
-        constants.emplace(in.dst, Value::fromInt(in.type, in.imm));
+        learn(in.dst, Value::fromInt(in.type, in.imm));
         changed = true;
         return;
       }
@@ -57,8 +71,8 @@ int constantPropagate(FunctionIR& f) {
         // A phi whose (known) inputs all agree is that constant.
         std::optional<Value> agreed;
         for (const auto& o : in.srcs) {
-          if (!o.isReg() || !constants.count(o.reg)) return;
-          const Value v = constants.at(o.reg).convertTo(in.type);
+          if (!isKnown(o)) return;
+          const Value v = constants[static_cast<size_t>(o.reg)].convertTo(in.type);
           if (!agreed) {
             agreed = v;
           } else if (!(*agreed == v)) {
@@ -66,24 +80,24 @@ int constantPropagate(FunctionIR& f) {
           }
         }
         if (agreed) {
-          constants.emplace(in.dst, *agreed);
+          learn(in.dst, *agreed);
           changed = true;
         }
         return;
       }
       if (!isPure(in.op) || in.op == Opcode::In) return;
-      std::vector<Value> ops;
+      ops.clear();
       for (const auto& o : in.srcs) {
         if (o.isImm()) {
           ops.push_back(Value::fromInt(in.type, o.imm));
-        } else if (constants.count(o.reg)) {
-          ops.push_back(constants.at(o.reg));
+        } else if (isKnown(o)) {
+          ops.push_back(constants[static_cast<size_t>(o.reg)]);
         } else {
           return;
         }
       }
       if (auto v = evalPureOp(in, ops, f.findTable(in.symbol))) {
-        constants.emplace(in.dst, *v);
+        learn(in.dst, *v);
         changed = true;
       }
     });
@@ -91,20 +105,19 @@ int constantPropagate(FunctionIR& f) {
 
   // Rewrite: known-constant defs become Ldc; Mux with constant selector
   // becomes Mov of the taken side.
-  forEachInstrRpo(f, [&](Block& b, Instr& in) {
-    (void)b;
-    if (in.hasDst() && constants.count(in.dst) && in.op != Opcode::Ldc && in.op != Opcode::Phi &&
-        isPure(in.op)) {
-      const Value v = constants.at(in.dst);
+  int changes = 0;
+  forEachInstr(f, rpo, [&](Instr& in) {
+    if (in.hasDst() && known[static_cast<size_t>(in.dst)] && in.op != Opcode::Ldc &&
+        in.op != Opcode::Phi && isPure(in.op)) {
       in.op = Opcode::Ldc;
-      in.imm = v.toInt();
+      in.imm = constants[static_cast<size_t>(in.dst)].toInt();
       in.srcs.clear();
       in.symbol.clear();
       ++changes;
       return;
     }
-    if (in.op == Opcode::Mux && in.srcs[0].isReg() && constants.count(in.srcs[0].reg)) {
-      const bool taken = constants.at(in.srcs[0].reg).toBool();
+    if (in.op == Opcode::Mux && isKnown(in.srcs[0])) {
+      const bool taken = constants[static_cast<size_t>(in.srcs[0].reg)].toBool();
       const Operand src = taken ? in.srcs[1] : in.srcs[2];
       in.op = Opcode::Mov;
       in.srcs = {src};
@@ -116,29 +129,29 @@ int constantPropagate(FunctionIR& f) {
 
 int copyPropagate(FunctionIR& f) {
   // Mov dst, src with identical types is a pure copy; redirect uses.
-  std::map<int, Operand> copyOf;
-  forEachInstrRpo(f, [&](Block& b, Instr& in) {
-    (void)b;
-    if (in.op == Opcode::Mov && in.srcs[0].isReg() &&
+  const std::vector<int> rpo = reversePostOrder(f);
+  std::vector<Operand> copyOf(static_cast<size_t>(f.regCount())); // Kind::None: not a copy
+  bool any = false;
+  forEachInstr(f, rpo, [&](Instr& in) {
+    if (in.op == Opcode::Mov && in.hasDst() && in.srcs[0].isReg() &&
         f.regTypes[static_cast<size_t>(in.srcs[0].reg)] == in.type) {
-      copyOf[in.dst] = in.srcs[0];
+      copyOf[static_cast<size_t>(in.dst)] = in.srcs[0];
+      any = true;
     }
   });
-  if (copyOf.empty()) return 0;
+  if (!any) return 0;
+  auto isCopy = [&](const Operand& o) {
+    return o.isReg() && copyOf[static_cast<size_t>(o.reg)].kind != Operand::Kind::None;
+  };
   // Resolve chains.
   auto resolve = [&](Operand o) {
-    while (o.isReg()) {
-      const auto it = copyOf.find(o.reg);
-      if (it == copyOf.end()) break;
-      o = it->second;
-    }
+    while (isCopy(o)) o = copyOf[static_cast<size_t>(o.reg)];
     return o;
   };
   int changes = 0;
-  forEachInstrRpo(f, [&](Block& b, Instr& in) {
-    (void)b;
+  forEachInstr(f, rpo, [&](Instr& in) {
     for (auto& o : in.srcs) {
-      if (o.isReg() && copyOf.count(o.reg)) {
+      if (isCopy(o)) {
         o = resolve(o);
         ++changes;
       }
@@ -147,6 +160,89 @@ int copyPropagate(FunctionIR& f) {
   return changes;
 }
 
+namespace {
+
+/// Two operands name the same CSE input: the same immediate, or the same
+/// register (any non-immediate operand compares by register id).
+bool sameCseOperand(const Operand& a, const Operand& b) {
+  return a.isImm() == b.isImm() && (a.isImm() ? a.imm == b.imm : a.reg == b.reg);
+}
+
+uint64_t mixHash(uint64_t h, uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
+/// The CSE expression key of an instruction: (op, type, imm, aux0, aux1,
+/// symbol, operands).
+uint64_t cseHash(const Instr& in) {
+  uint64_t h = static_cast<uint64_t>(in.op);
+  h = mixHash(h, static_cast<uint64_t>(in.type.width) * 2 + (in.type.isSigned ? 1 : 0));
+  h = mixHash(h, static_cast<uint64_t>(in.imm));
+  h = mixHash(h, static_cast<uint64_t>(static_cast<uint32_t>(in.aux0)) << 32 |
+                     static_cast<uint32_t>(in.aux1));
+  if (!in.symbol.empty()) h = mixHash(h, std::hash<std::string_view>{}(in.symbol));
+  for (const auto& o : in.srcs) {
+    h = mixHash(h, o.isImm() ? static_cast<uint64_t>(o.imm) * 2 + 1
+                             : static_cast<uint64_t>(static_cast<int64_t>(o.reg)) * 2);
+  }
+  // Finalizer: the table indexes by the low bits.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
+bool sameCseKey(const Instr& a, const Instr& b) {
+  if (a.op != b.op || a.type != b.type || a.imm != b.imm || a.aux0 != b.aux0 ||
+      a.aux1 != b.aux1 || a.srcs.size() != b.srcs.size() || a.symbol != b.symbol) {
+    return false;
+  }
+  for (size_t i = 0; i < a.srcs.size(); ++i) {
+    if (!sameCseOperand(a.srcs[i], b.srcs[i])) return false;
+  }
+  return true;
+}
+
+/// Expression -> available register, scoped over the dominator tree. An
+/// open-addressing table (linear probing) keyed by the instruction that made
+/// the expression available; that instruction is not modified while its
+/// scope is open. Scopes close in LIFO order, and clearing the slots of the
+/// newest entries first never cuts the probe chain of an older one.
+class ScopedCseTable {
+ public:
+  explicit ScopedCseTable(size_t entries) : slots_(std::bit_ceil(2 * entries + 2)) {}
+
+  /// The register already holding `in`'s expression, or -1 after making
+  /// `in.dst` hold it.
+  int findOrAdd(const Instr& in) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = static_cast<size_t>(cseHash(in)) & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.key == nullptr) {
+        s = {&in, in.dst};
+        added_.push_back(i);
+        return -1;
+      }
+      if (sameCseKey(*s.key, in)) return s.reg;
+    }
+  }
+  size_t scope() const { return added_.size(); }
+  void closeScope(size_t scope) {
+    for (; added_.size() > scope; added_.pop_back()) slots_[added_.back()].key = nullptr;
+  }
+
+ private:
+  struct Slot {
+    const Instr* key = nullptr;
+    int reg = -1;
+  };
+  std::vector<Slot> slots_;
+  std::vector<size_t> added_;
+};
+
+} // namespace
+
 int commonSubexpressionEliminate(FunctionIR& f) {
   const DomTree dt = computeDominators(f);
   std::vector<std::vector<int>> domChildren(f.blocks.size());
@@ -154,84 +250,84 @@ int commonSubexpressionEliminate(FunctionIR& f) {
     if (dt.idom[b] >= 0) domChildren[static_cast<size_t>(dt.idom[b])].push_back(static_cast<int>(b));
   }
 
-  // Expression key -> available register, scoped over the dominator tree.
-  using Key = std::string;
-  auto keyOf = [&](const Instr& in) -> Key {
-    std::string k = opcodeName(in.op);
-    k += '|' + in.type.str();
-    k += '|' + std::to_string(in.imm) + '|' + std::to_string(in.aux0) + '|' + std::to_string(in.aux1);
-    k += '|' + in.symbol;
-    for (const auto& o : in.srcs) {
-      k += o.isImm() ? fmt("|#%0", o.imm) : fmt("|v%0", o.reg);
-    }
-    return k;
-  };
+  // An expression is only ever made available when none is, so each key
+  // holds one register and leaving a scope drops what it added.
+  size_t instrs = 0;
+  for (const auto& b : f.blocks) instrs += b.instrs.size();
+  ScopedCseTable avail(instrs);
+  std::vector<Operand> replaced(static_cast<size_t>(f.regCount())); // dst -> canonical reg
 
   int changes = 0;
-  std::map<Key, std::vector<int>> avail; // stack per key
-  std::map<int, Operand> replaced;       // dst -> canonical reg
-
-  std::function<void(int)> walk = [&](int bid) {
-    Block& b = f.blocks[static_cast<size_t>(bid)];
-    std::vector<Key> pushed;
-    for (auto& in : b.instrs) {
+  auto walk = [&](auto& self, int bid) -> void {
+    const size_t scope = avail.scope();
+    for (auto& in : f.blocks[static_cast<size_t>(bid)].instrs) {
       // First rewrite operands through prior replacements.
       for (auto& o : in.srcs) {
         if (o.isReg()) {
-          const auto it = replaced.find(o.reg);
-          if (it != replaced.end()) o = it->second;
+          const Operand& r = replaced[static_cast<size_t>(o.reg)];
+          if (r.isReg()) o = r;
         }
       }
       if (!in.hasDst() || !isCseEligible(in.op)) continue;
-      const Key k = keyOf(in);
-      const auto it = avail.find(k);
-      if (it != avail.end() && !it->second.empty()) {
+      const int prior = avail.findOrAdd(in);
+      if (prior >= 0) {
         // Redundant: replace with a Mov so DCE can drop it once unused.
-        replaced[in.dst] = Operand::ofReg(it->second.back());
+        const Operand canonical = Operand::ofReg(prior);
+        replaced[static_cast<size_t>(in.dst)] = canonical;
         in.op = Opcode::Mov;
-        in.srcs = {Operand::ofReg(it->second.back())};
+        in.srcs = {canonical};
         in.symbol.clear();
         ++changes;
-      } else {
-        avail[k].push_back(in.dst);
-        pushed.push_back(k);
       }
     }
-    for (int c : domChildren[static_cast<size_t>(bid)]) walk(c);
-    for (const auto& k : pushed) avail[k].pop_back();
+    for (int c : domChildren[static_cast<size_t>(bid)]) self(self, c);
+    avail.closeScope(scope);
   };
-  walk(0);
+  walk(walk, 0);
   if (changes) copyPropagate(f);
   return changes;
 }
 
 int deadCodeEliminate(FunctionIR& f) {
-  // Seed: side-effecting instructions; then transitive operand closure.
-  std::set<int> liveRegs;
-  bool changed = true;
+  // Seed: side-effecting instructions' operands. Then a worklist closes the
+  // live set over each live register's (pure) definitions.
+  const size_t nRegs = static_cast<size_t>(f.regCount());
+  std::vector<char> live(nRegs, 0);
+  std::vector<int> work;
+  std::vector<const Instr*> defs;           // pure definitions, chained per register
+  std::vector<int> defHead(nRegs, -1), defNext;
+  defs.reserve(nRegs);
+  defNext.reserve(nRegs);
   auto markSrcs = [&](const Instr& in) {
-    bool any = false;
     for (const auto& o : in.srcs) {
-      if (o.isReg() && liveRegs.insert(o.reg).second) any = true;
-    }
-    return any;
-  };
-  while (changed) {
-    changed = false;
-    for (const auto& b : f.blocks) {
-      for (const auto& in : b.instrs) {
-        if (!isPure(in.op)) {
-          if (markSrcs(in)) changed = true;
-        } else if (in.hasDst() && liveRegs.count(in.dst)) {
-          if (markSrcs(in)) changed = true;
-        }
+      if (o.isReg() && !live[static_cast<size_t>(o.reg)]) {
+        live[static_cast<size_t>(o.reg)] = 1;
+        work.push_back(o.reg);
       }
+    }
+  };
+  for (const auto& b : f.blocks) {
+    for (const auto& in : b.instrs) {
+      if (!isPure(in.op)) {
+        markSrcs(in);
+      } else if (in.hasDst()) {
+        defNext.push_back(defHead[static_cast<size_t>(in.dst)]);
+        defHead[static_cast<size_t>(in.dst)] = static_cast<int>(defs.size());
+        defs.push_back(&in);
+      }
+    }
+  }
+  while (!work.empty()) {
+    const int r = work.back();
+    work.pop_back();
+    for (int d = defHead[static_cast<size_t>(r)]; d >= 0; d = defNext[static_cast<size_t>(d)]) {
+      markSrcs(*defs[static_cast<size_t>(d)]);
     }
   }
   int removed = 0;
   for (auto& b : f.blocks) {
     std::erase_if(b.instrs, [&](const Instr& in) {
-      const bool dead = isPure(in.op) && in.hasDst() && !liveRegs.count(in.dst);
+      const bool dead = isPure(in.op) && in.hasDst() && !live[static_cast<size_t>(in.dst)];
       if (dead) ++removed;
       return dead;
     });
@@ -240,18 +336,20 @@ int deadCodeEliminate(FunctionIR& f) {
 }
 
 int strengthReduce(FunctionIR& f) {
-  int changes = 0;
+  const std::vector<int> rpo = reversePostOrder(f);
   // Known constants (Ldc) by register, for identity detection.
-  std::map<int, int64_t> constOf;
-  forEachInstrRpo(f, [&](Block&, Instr& in) {
-    if (in.op == Opcode::Ldc) constOf[in.dst] = Value::fromInt(in.type, in.imm).toInt();
+  const size_t nRegs = static_cast<size_t>(f.regCount());
+  std::vector<int64_t> constOf(nRegs, 0);
+  std::vector<char> isConst(nRegs, 0);
+  forEachInstr(f, rpo, [&](Instr& in) {
+    if (in.op == Opcode::Ldc) {
+      constOf[static_cast<size_t>(in.dst)] = Value::fromInt(in.type, in.imm).toInt();
+      isConst[static_cast<size_t>(in.dst)] = 1;
+    }
   });
   auto constValue = [&](const Operand& o) -> std::optional<int64_t> {
     if (o.isImm()) return o.imm;
-    if (o.isReg()) {
-      const auto it = constOf.find(o.reg);
-      if (it != constOf.end()) return it->second;
-    }
+    if (o.isReg() && isConst[static_cast<size_t>(o.reg)]) return constOf[static_cast<size_t>(o.reg)];
     return std::nullopt;
   };
   auto isPow2 = [](int64_t v) { return v > 0 && (v & (v - 1)) == 0; };
@@ -261,7 +359,8 @@ int strengthReduce(FunctionIR& f) {
     return n;
   };
 
-  forEachInstrRpo(f, [&](Block&, Instr& in) {
+  int changes = 0;
+  forEachInstr(f, rpo, [&](Instr& in) {
     switch (in.op) {
       case Opcode::Mul: {
         for (int side = 0; side < 2; ++side) {

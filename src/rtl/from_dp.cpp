@@ -1,7 +1,7 @@
 #include "rtl/from_dp.hpp"
 
-#include <cassert>
-#include <map>
+#include <algorithm>
+
 
 #include "support/budget.hpp"
 #include "support/faultpoint.hpp"
@@ -48,12 +48,17 @@ CellKind cellFor(Opcode op) {
 
 class Lowering {
  public:
-  Lowering(const DataPath& dp, Module& out, DiagEngine& diags) : dp_(dp), out_(out), diags_(diags) {}
+  Lowering(const DataPath& dp, Module& out) : dp_(dp), out_(out) {}
 
-  bool run() {
+  void run() {
     out_ = Module{};
     out_.name = dp_.name;
     out_.latency = dp_.stageCount - 1;
+    baseNet_.assign(dp_.values.size(), -1);
+    defStage_.assign(dp_.values.size(), 0);
+    isConst_.assign(dp_.values.size(), 0);
+    staged_.assign(dp_.values.size(), {});
+    reserveCapacity();
 
     // Input ports.
     for (const auto& port : dp_.inputs) {
@@ -61,15 +66,11 @@ class Lowering {
       const int net = out_.addNet(hwType(v), port.name);
       out_.inputPorts.push_back(net);
       out_.inputNames.push_back(port.name);
-      baseNet_[v.id] = net;
-      defStage_[v.id] = 0;
+      baseNet_[static_cast<size_t>(v.id)] = net;
     }
 
     // Feedback registers: create output nets up front so LPR values resolve.
-    for (const auto& fb : dp_.feedbacks) {
-      const int net = out_.addNet(fb.type, fb.name + "__reg");
-      fbNet_[fb.name] = net;
-    }
+    for (const auto& fb : dp_.feedbacks) fbNet_.push_back(out_.addNet(fb.type, fb.name + "__reg"));
 
     // Valid chain: feedback registers must not latch until real data reaches
     // their stage (the pipeline-fill cycles would clobber the initial
@@ -91,19 +92,19 @@ class Lowering {
     // Ops in dependency order. The elaboration loop is the RTL layer's hot
     // path (cell count scales with unroll factor), so it carries a deadline
     // checkpoint.
-    for (int oi : topoOrder()) {
+    for (int oi : dp::topoOrderOps(dp_)) {
       budgetCheckpoint("rtl-elaborate");
       lowerOp(dp_.ops[static_cast<size_t>(oi)]);
-      if (failed_) return false;
     }
 
     // Close the feedback loops; each register is gated by the valid bit of
     // its stage.
-    for (const auto& fb : dp_.feedbacks) {
+    for (size_t fi = 0; fi < dp_.feedbacks.size(); ++fi) {
+      const auto& fb = dp_.feedbacks[fi];
       const int d = netAt(fb.snxValue, fb.stage);
       const int resized = resizeTo(d, fb.type, fb.name + "__nxt");
       const int en = validAt_.at(static_cast<size_t>(fb.stage));
-      const int cell = out_.addCell(CellKind::Reg, {resized, en}, fbNet_.at(fb.name));
+      const int cell = out_.addCell(CellKind::Reg, {resized, en}, fbNet_[fi]);
       out_.cells[static_cast<size_t>(cell)].imm = fb.initial;
     }
 
@@ -117,58 +118,60 @@ class Lowering {
       out_.outputNames.push_back(port.name);
     }
     // Feedback state taps.
-    for (const auto& fb : dp_.feedbacks) {
-      out_.outputPorts.push_back(fbNet_.at(fb.name));
-      out_.outputNames.push_back(fb.name + "__fb");
+    for (size_t fi = 0; fi < dp_.feedbacks.size(); ++fi) {
+      out_.outputPorts.push_back(fbNet_[fi]);
+      out_.outputNames.push_back(dp_.feedbacks[fi].name + "__fb");
     }
-
-    std::vector<std::string> errors;
-    if (!out_.verify(errors)) {
-      for (const auto& e : errors) diags_.error({}, "datapath module: " + e);
-      return false;
-    }
-    return true;
   }
 
  private:
   const DataPath& dp_;
   Module& out_;
-  DiagEngine& diags_;
-  bool failed_ = false;
 
-  std::map<int, int> baseNet_;              ///< value id -> net at its def stage
-  std::map<int, int> defStage_;             ///< value id -> def stage
-  std::map<std::pair<int, int>, int> staged_; ///< (value, stage) -> net
-  std::map<std::string, int> fbNet_;
+  // Per value id: the net at its def stage (-1: not lowered yet), that
+  // stage, whether it is a stage-free constant, and its pipeline-register
+  // copies for stages def+1, def+2, ... (built in stage order).
+  std::vector<int> baseNet_;
+  std::vector<int> defStage_;
+  std::vector<char> isConst_;
+  std::vector<std::vector<int>> staged_;
+  std::vector<int> fbNet_;   ///< register output net per feedback
   std::vector<int> validAt_; ///< valid net per stage (only when feedbacks exist)
-  std::map<int, bool> isConst_;             ///< value id -> constant (stage-free)
 
   ScalarType hwType(const DpValue& v) const { return ScalarType::make(v.width, v.isSigned); }
 
-  std::vector<int> topoOrder() const {
-    std::vector<int> indeg(dp_.ops.size(), 0);
-    std::vector<std::vector<int>> consumers(dp_.values.size());
-    for (size_t oi = 0; oi < dp_.ops.size(); ++oi) {
-      for (int v : dp_.ops[oi].operands) {
-        if (dp_.values[static_cast<size_t>(v)].def >= 0) ++indeg[oi];
-        consumers[static_cast<size_t>(v)].push_back(static_cast<int>(oi));
-      }
+  /// Sizes the net and cell tables once: about one of each per op, plus a
+  /// pipeline register per stage a value crosses.
+  void reserveCapacity() {
+    std::vector<int> lastStage(dp_.values.size(), -1);
+    auto use = [&](int v, int stage) {
+      lastStage[static_cast<size_t>(v)] = std::max(lastStage[static_cast<size_t>(v)], stage);
+    };
+    for (const auto& o : dp_.ops) {
+      for (int v : o.operands) use(v, o.stage);
     }
-    std::vector<int> ready, order;
-    for (size_t oi = 0; oi < dp_.ops.size(); ++oi) {
-      if (indeg[oi] == 0) ready.push_back(static_cast<int>(oi));
+    for (const auto& port : dp_.outputs) use(port.value, dp_.stageCount - 1);
+    for (const auto& fb : dp_.feedbacks) use(fb.snxValue, fb.stage);
+    size_t n = 2 * dp_.ops.size() + dp_.inputs.size() + 2 * dp_.feedbacks.size() +
+               2 * dp_.outputs.size() + static_cast<size_t>(dp_.stageCount);
+    for (const auto& v : dp_.values) {
+      const int def = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
+      n += static_cast<size_t>(std::max(0, lastStage[static_cast<size_t>(v.id)] - def));
     }
-    while (!ready.empty()) {
-      const int oi = ready.back();
-      ready.pop_back();
-      order.push_back(oi);
-      const int res = dp_.ops[static_cast<size_t>(oi)].result;
-      if (res < 0) continue;
-      for (int c : consumers[static_cast<size_t>(res)]) {
-        if (--indeg[static_cast<size_t>(c)] == 0) ready.push_back(c);
-      }
+    out_.nets.reserve(n);
+    out_.cells.reserve(n);
+  }
+
+  int fbNetOf(const std::string& name) const {
+    for (size_t fi = 0; fi < dp_.feedbacks.size(); ++fi) {
+      if (dp_.feedbacks[fi].name == name) return fbNet_[fi];
     }
-    return order;
+    throw InternalCompilerError(fmt("rtl: unknown feedback '%0'", name));
+  }
+
+  void define(int valueId, int net, int stage) {
+    baseNet_[static_cast<size_t>(valueId)] = net;
+    defStage_[static_cast<size_t>(valueId)] = stage;
   }
 
   int resizeTo(int net, ScalarType t, const std::string& name) {
@@ -181,19 +184,23 @@ class Lowering {
   /// Net carrying `value` during `stage`: the base net, advanced through a
   /// pipeline-register chain when the consumer sits in a later stage.
   int netAt(int valueId, int stage) {
-    if (isConst_[valueId]) return baseNet_.at(valueId); // constants are stage-free
-    const int def = defStage_.at(valueId);
-    if (stage <= def) return baseNet_.at(valueId);
-    const auto key = std::make_pair(valueId, stage);
-    const auto it = staged_.find(key);
-    if (it != staged_.end()) return it->second;
-    const int prev = netAt(valueId, stage - 1);
-    const DpValue& v = dp_.values[static_cast<size_t>(valueId)];
-    const int net = out_.addNet(out_.nets[static_cast<size_t>(prev)].type,
-                                fmt("%0_s%1", v.name.empty() ? fmt("t%0", v.id) : v.name, stage));
-    out_.addCell(CellKind::Reg, {prev}, net);
-    staged_[key] = net;
-    return net;
+    const size_t v = static_cast<size_t>(valueId);
+    const int base = baseNet_[v];
+    if (base < 0) throw InternalCompilerError(fmt("rtl: value %0 used before it is lowered", valueId));
+    if (isConst_[v]) return base; // constants are stage-free
+    const int def = defStage_[v];
+    if (stage <= def) return base;
+    std::vector<int>& chain = staged_[v];
+    while (static_cast<int>(chain.size()) < stage - def) {
+      const int prev = chain.empty() ? base : chain.back();
+      const DpValue& dv = dp_.values[v];
+      const int s = def + 1 + static_cast<int>(chain.size());
+      const int net = out_.addNet(out_.nets[static_cast<size_t>(prev)].type,
+                                  fmt("%0_s%1", dv.name.empty() ? fmt("t%0", dv.id) : dv.name, s));
+      out_.addCell(CellKind::Reg, {prev}, net);
+      chain.push_back(net);
+    }
+    return chain[static_cast<size_t>(stage - def - 1)];
   }
 
   void lowerOp(const DpOp& o) {
@@ -202,14 +209,12 @@ class Lowering {
         const DpValue& v = dp_.values[static_cast<size_t>(o.result)];
         const int net = out_.addConst(Value::fromInt(hwType(v), o.imm).toInt(), hwType(v),
                                       v.name.empty() ? fmt("c%0", o.imm) : v.name);
-        baseNet_[o.result] = net;
-        defStage_[o.result] = 0;
-        isConst_[o.result] = true;
+        define(o.result, net, 0);
+        isConst_[static_cast<size_t>(o.result)] = 1;
         return;
       }
       case Opcode::Lpr: {
-        baseNet_[o.result] = fbNet_.at(o.symbol);
-        defStage_[o.result] = o.stage;
+        define(o.result, fbNetOf(o.symbol), o.stage);
         return;
       }
       case Opcode::Lut: {
@@ -224,8 +229,7 @@ class Lowering {
           }
         }
         out_.cells[static_cast<size_t>(cell)].romName = o.symbol;
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
       case Opcode::BitSel: {
@@ -236,8 +240,7 @@ class Lowering {
         const int cell = out_.addCell(CellKind::Slice, {full}, net);
         out_.cells[static_cast<size_t>(cell)].aux0 = o.aux0;
         out_.cells[static_cast<size_t>(cell)].aux1 = o.aux1;
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
       case Opcode::BitCat: {
@@ -248,8 +251,7 @@ class Lowering {
         const int loNet = resizeTo(operandNet(o, 1), lo.declared, lo.name + "_full");
         const int net = out_.addNet(hwType(v), resultName(o));
         out_.addCell(CellKind::Concat, {hiNet, loNet}, net);
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
       default: {
@@ -259,8 +261,7 @@ class Lowering {
         for (size_t k = 0; k < o.operands.size(); ++k) ins.push_back(operandNet(o, k));
         const int net = out_.addNet(hwType(v), resultName(o));
         out_.addCell(cellFor(o.op), ins, net);
-        baseNet_[o.result] = net;
-        defStage_[o.result] = o.stage;
+        define(o.result, net, o.stage);
         return;
       }
     }
@@ -278,10 +279,9 @@ class Lowering {
 
 } // namespace
 
-bool buildDatapathModule(const DataPath& dp, Module& out, DiagEngine& diags) {
+void buildDatapathModule(const DataPath& dp, Module& out) {
   faultpoint("rtl.elaborate");
-  Lowering l(dp, out, diags);
-  return l.run();
+  Lowering(dp, out).run();
 }
 
 } // namespace roccc::rtl

@@ -6,12 +6,14 @@
 
 #include "dp/datapath.hpp"
 #include "rtl/netlist.hpp"
-#include "support/diag.hpp"
 
 namespace roccc::rtl {
 
 /// Builds the synthesizable module. Feedback registers are exposed as extra
 /// output ports named "<name>__fb" so the system can read final values.
-bool buildDatapathModule(const dp::DataPath& dp, Module& out, DiagEngine& diags);
+/// Does not verify the result: the build-rtl pass runs Module::verify once,
+/// as its post-pass verifier, and a failure there is an internal error.
+/// Callers outside the pipeline verify the module themselves.
+void buildDatapathModule(const dp::DataPath& dp, Module& out);
 
 } // namespace roccc::rtl

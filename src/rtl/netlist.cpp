@@ -148,14 +148,19 @@ bool Module::verify(std::vector<std::string>& errors) const {
       errors.push_back(fmt("rom cell %0 has no contents", c.id));
     }
   }
+  std::vector<char> isInput(nets.size(), 0);
   for (int p : inputPorts) {
+    if (p < 0 || p >= static_cast<int>(nets.size())) {
+      errors.push_back(fmt("input port net %0 out of range", p));
+      continue;
+    }
+    isInput[static_cast<size_t>(p)] = 1;
     if (nets[static_cast<size_t>(p)].driver != -1) {
       errors.push_back(fmt("input port net %0 has a driver", p));
     }
   }
   for (size_t n = 0; n < nets.size(); ++n) {
-    const bool isInput = std::find(inputPorts.begin(), inputPorts.end(), static_cast<int>(n)) != inputPorts.end();
-    if (!isInput && driverCount[n] == 0) {
+    if (!isInput[n] && driverCount[n] == 0) {
       errors.push_back(fmt("net %0 (%1) is undriven", n, nets[n].name));
     }
     if (driverCount[n] > 1) {

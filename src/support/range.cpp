@@ -1,6 +1,9 @@
 #include "support/range.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 namespace roccc {
@@ -27,17 +30,25 @@ ValueRange ValueRange::ofType(ScalarType t) {
   return {-hi - 1, hi};
 }
 
+namespace {
+
+/// Bits needed to write v >= 0 in binary (0 for 0).
+int bitLength(ValueRange::Int v) {
+  const auto u = static_cast<unsigned __int128>(v);
+  const auto hi = static_cast<uint64_t>(u >> 64);
+  const auto lo = static_cast<uint64_t>(u);
+  if (hi != 0) return 128 - std::countl_zero(hi);
+  return 64 - std::countl_zero(lo);
+}
+
+} // namespace
+
 int ValueRange::requiredWidth(bool* needsSign) const {
   const bool sign = lo_ < 0;
   if (needsSign) *needsSign = sign;
-  int w = 1;
-  if (sign) {
-    // Width w holds [-2^(w-1), 2^(w-1)-1].
-    while (lo_ < -(Int{1} << (w - 1)) || hi_ > (Int{1} << (w - 1)) - 1) ++w;
-  } else {
-    while (hi_ > (Int{1} << w) - 1) ++w;
-  }
-  return w;
+  if (!sign) return std::max(1, bitLength(hi_));
+  // Width w holds [-2^(w-1), 2^(w-1)-1].
+  return 1 + std::max(bitLength(-lo_ - 1), hi_ > 0 ? bitLength(hi_) : 0);
 }
 
 bool ValueRange::fitsIn(ScalarType t) const {

@@ -75,7 +75,9 @@ TEST(Annotation, ForceStageRepipelines) {
   EXPECT_EQ(r.datapath.stageCount, before + 3);
   // Rebuild RTL and verify behavior is unchanged.
   rtl::Module m2;
-  ASSERT_TRUE(rtl::buildDatapathModule(r.datapath, m2, diags)) << diags.dump();
+  rtl::buildDatapathModule(r.datapath, m2);
+  std::vector<std::string> rtlErrors;
+  ASSERT_TRUE(m2.verify(rtlErrors)) << (rtlErrors.empty() ? "" : rtlErrors.front());
   interp::KernelIO in;
   for (int i = 0; i < 36; ++i) in.arrays["A"].push_back((i * 31) % 199 - 99);
   rtl::System sys(r.kernel, r.datapath, m2, {});

@@ -3,6 +3,7 @@
 // with the legacy free-text passLog values, and the --stats-json shape.
 #include <gtest/gtest.h>
 
+#include "../bench/kernels.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "hlir/transforms.hpp"
@@ -166,6 +167,33 @@ TEST(Pipeline, RtlVerifierRunsWithoutVerifyEach) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Pipeline, BrokenNetlistIsAnInternalErrorOfBuildRtl) {
+  // Clearing the tables before the real build-rtl pass leaves cos's ROM
+  // cell without contents. That is a compiler fault, not bad input: the
+  // one netlist check per compile reports it as an internal error of
+  // build-rtl.
+  const Compiler c;
+  const PassManager full = c.buildPipeline();
+  PassManager pm;
+  for (const Pass& p : full.passes()) {
+    if (p.name == "build-rtl") {
+      pm.addPass({"drop-tables", PassLayer::Dp, [](PassContext& cx, PassStatistics&) {
+                    cx.result.datapath.tables.clear();
+                    return true;
+                  }});
+    }
+    pm.addPass(p);
+  }
+  CompileResult r;
+  PassContext ctx(c.options(), r);
+  ctx.source = bench::kCos;
+  std::vector<PassStatistics> stats;
+  EXPECT_FALSE(pm.run(ctx, stats));
+  EXPECT_EQ(r.outcome, CompileOutcome::InternalError);
+  EXPECT_EQ(r.failedPass, "build-rtl");
+  EXPECT_NE(r.diags.dump().find("has no contents"), std::string::npos) << r.diags.dump();
 }
 
 TEST(Pipeline, HlirCountersMatchDirectTransformRuns) {
