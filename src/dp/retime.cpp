@@ -16,34 +16,11 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-/// Recomputes every op's within-stage accumulated delay and returns the
-/// per-stage worst (the stage's combinational depth, routing included).
-std::vector<double> computeStageDelays(DataPath& d, const std::vector<double>& delay,
-                                       const std::vector<int>& order) {
-  int maxStage = 0;
-  for (const auto& o : d.ops) maxStage = std::max(maxStage, o.stage);
-  std::vector<double> worst(static_cast<size_t>(maxStage) + 1, 0.0);
-  for (auto& o : d.ops) o.pathDelayNs = 0;
-  for (int oi : order) {
-    DpOp& o = d.ops[static_cast<size_t>(oi)];
-    double in = 0;
-    for (int vid : o.operands) {
-      const DpValue& v = d.values[static_cast<size_t>(vid)];
-      if (v.def < 0) continue;
-      const DpOp& defOp = d.ops[static_cast<size_t>(v.def)];
-      if (defOp.op == Opcode::Ldc) continue;
-      if (defOp.stage == o.stage) in = std::max(in, defOp.pathDelayNs);
-    }
-    o.pathDelayNs = in + delay[static_cast<size_t>(oi)];
-    worst[static_cast<size_t>(o.stage)] = std::max(worst[static_cast<size_t>(o.stage)],
-                                                   o.pathDelayNs);
-  }
-  return worst;
-}
-
-/// The same accumulation over one stage's members (in topological order),
-/// all labelled `stage`: a stage's path delays depend only on its own ops,
-/// so this returns the bit-identical worst computeStageDelays gives it.
+/// Recomputes the within-stage accumulated delay of one stage's members
+/// (in topological order, all labelled `stage`) and returns the stage's
+/// worst (its combinational depth, routing included). A stage's path delays
+/// depend only on its own ops, so re-timing one stage leaves the others'
+/// results as they were.
 double stageDelay(DataPath& d, const std::vector<double>& delay, const std::vector<int>& members,
                   int stage) {
   double worst = 0.0;
@@ -244,10 +221,12 @@ bool retimePipeline(DataPath& d, const synth::TimingModel& model, const RetimeOp
   }
   recomputePipelineStats(d);
 
-  worst = computeStageDelays(d, delay, order);
-  rep.stageDelayNs.assign(worst.begin(), worst.end());
+  rep.stageDelayNs.assign(static_cast<size_t>(d.stageCount), 0.0);
   rep.worstStageNs = 0;
-  for (double s : worst) rep.worstStageNs = std::max(rep.worstStageNs, s);
+  for (int s = 0; s < d.stageCount; ++s) {
+    rep.stageDelayNs[static_cast<size_t>(s)] = stageDelay(d, delay, members[static_cast<size_t>(s)], s);
+    rep.worstStageNs = std::max(rep.worstStageNs, rep.stageDelayNs[static_cast<size_t>(s)]);
+  }
   rep.criticalPathNs = rep.worstStageNs + model.clockOverheadNs;
   rep.fmaxMHz = rep.criticalPathNs > 0 ? 1000.0 / rep.criticalPathNs : 0.0;
   rep.slackNs = opt.targetNs - rep.worstStageNs;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-
 #include "support/budget.hpp"
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"

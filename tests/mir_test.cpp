@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "design_points.hpp"
 #include "frontend/parser.hpp"
 #include "frontend/sema.hpp"
 #include "hlir/kernel.hpp"
@@ -8,6 +11,8 @@
 #include "mir/lower.hpp"
 #include "mir/passes.hpp"
 #include "mir/ssa.hpp"
+#include "kernel_fuzzer.hpp"
+#include "roccc/compiler.hpp"
 #include "support/strings.hpp"
 
 namespace roccc::mir {
@@ -361,6 +366,172 @@ TEST(Passes, PipelinePreservesSemantics) {
         }
       }
     }
+  }
+}
+
+TEST(Passes, CseNeverReusesASiblingBranchValue) {
+  // Both arms compute a * b; neither arm dominates the other or the join,
+  // so the product after the join is computed again.
+  FunctionIR f = lowerSSA(R"(
+    void dp(int a, int b, int c, int* o) {
+      int r;
+      if (c) { r = a * b; } else { r = a * b; }
+      *o = r + a * b;
+    }
+  )", "dp");
+  EXPECT_EQ(commonSubexpressionEliminate(f), 0) << f.dump();
+  int muls = 0;
+  for (const auto& b : f.blocks) {
+    for (const auto& in : b.instrs) {
+      if (in.op == Opcode::Mul) ++muls;
+    }
+  }
+  EXPECT_EQ(muls, 3) << f.dump();
+}
+
+/// A one-block SSA function: `in` port 0 into v0, then `body` appends
+/// instructions, then every register in `outs` goes to its own output port.
+FunctionIR handBuilt(const std::function<void(FunctionIR&, Block&, int)>& body,
+                     const std::function<std::vector<int>(const FunctionIR&)>& outs) {
+  FunctionIR f;
+  f.name = "dp";
+  f.params.push_back({"x", ScalarType::make(16, false), false});
+  f.addBlock();
+  Block& b = f.blocks[0];
+  Instr in;
+  in.op = Opcode::In;
+  in.dst = f.newReg(ScalarType::make(16, false), "x");
+  in.type = ScalarType::make(16, false);
+  b.instrs.push_back(in);
+  body(f, b, in.dst);
+  int port = 0;
+  for (int r : outs(f)) {
+    f.params.push_back({fmt("o%0", port), f.regTypes[static_cast<size_t>(r)], true});
+    Instr out;
+    out.op = Opcode::Out;
+    out.aux0 = port++;
+    out.type = f.regTypes[static_cast<size_t>(r)];
+    out.srcs = {Operand::ofReg(r)};
+    b.instrs.push_back(out);
+  }
+  Instr ret;
+  ret.op = Opcode::Ret;
+  b.instrs.push_back(ret);
+  std::vector<std::string> errors;
+  EXPECT_TRUE(f.verifySSA(errors)) << roccc::join(errors, "\n");
+  return f;
+}
+
+/// Appends `dst = op srcs` with a fresh destination register of type `t`.
+int emit(FunctionIR& f, Block& b, Opcode op, ScalarType t, std::vector<Operand> srcs,
+         int aux0 = 0, int aux1 = 0, std::string symbol = "") {
+  Instr in;
+  in.op = op;
+  in.type = t;
+  in.dst = f.newReg(t, "");
+  in.srcs = std::move(srcs);
+  in.aux0 = aux0;
+  in.aux1 = aux1;
+  in.symbol = std::move(symbol);
+  b.instrs.push_back(std::move(in));
+  return b.instrs.back().dst;
+}
+
+constexpr int kChain = 2000;
+
+/// v1 = v0 + 1, v2 = v1 + 1, ..., in program order: each definition's only
+/// use comes after it, so liveness found by rescanning the block would take
+/// one scan per link. Returns the register at the end of the chain.
+int appendChain(FunctionIR& f, Block& b, int from) {
+  int r = from;
+  for (int i = 0; i < kChain; ++i) {
+    r = emit(f, b, Opcode::Add, ScalarType::intTy(), {Operand::ofReg(r), Operand::ofImm(1)});
+  }
+  return r;
+}
+
+TEST(Passes, DceKeepsALongChainThatFeedsAnOutput) {
+  int end = -1;
+  FunctionIR f = handBuilt([&](FunctionIR& fn, Block& b, int x) { end = appendChain(fn, b, x); },
+                           [&](const FunctionIR&) { return std::vector<int>{end}; });
+  const std::string before = f.dump();
+  EXPECT_EQ(deadCodeEliminate(f), 0);
+  EXPECT_EQ(f.dump(), before);
+}
+
+TEST(Passes, DceRemovesALongChainThatFeedsNothing) {
+  int x = -1;
+  FunctionIR f = handBuilt(
+      [&](FunctionIR& fn, Block& b, int in) {
+        x = in;
+        appendChain(fn, b, in);
+      },
+      [&](const FunctionIR&) { return std::vector<int>{x}; });
+  EXPECT_EQ(deadCodeEliminate(f), kChain);
+  EXPECT_EQ(f.blocks[0].instrs.size(), 3u) << f.dump(); // in, out, ret
+}
+
+TEST(Passes, CseKeysThatDifferOnlyInTypeAuxOrTableStayDistinct) {
+  std::vector<int> regs;
+  FunctionIR f = handBuilt(
+      [&](FunctionIR& fn, Block& b, int x) {
+        fn.tables.push_back({"t0", ScalarType::make(8, false), {1, 2, 3, 4}});
+        fn.tables.push_back({"t1", ScalarType::make(8, false), {1, 2, 3, 4}});
+        const Operand src = Operand::ofReg(x);
+        // Signedness alone.
+        regs.push_back(emit(fn, b, Opcode::Cast, ScalarType::make(16, true), {src}));
+        regs.push_back(emit(fn, b, Opcode::Cast, ScalarType::make(16, false), {src}));
+        // aux0 alone, then aux1 alone.
+        regs.push_back(emit(fn, b, Opcode::BitSel, ScalarType::make(4, false), {src}, 4, 1));
+        regs.push_back(emit(fn, b, Opcode::BitSel, ScalarType::make(4, false), {src}, 5, 1));
+        regs.push_back(emit(fn, b, Opcode::BitSel, ScalarType::make(4, false), {src}, 4, 2));
+        // Table symbol alone.
+        regs.push_back(emit(fn, b, Opcode::Lut, ScalarType::make(8, false), {src}, 0, 0, "t0"));
+        regs.push_back(emit(fn, b, Opcode::Lut, ScalarType::make(8, false), {src}, 0, 0, "t1"));
+      },
+      [&](const FunctionIR&) { return regs; });
+  const std::string before = f.dump();
+  EXPECT_EQ(commonSubexpressionEliminate(f), 0) << f.dump();
+  EXPECT_EQ(f.dump(), before);
+
+  // The same instructions repeated are common subexpressions.
+  FunctionIR g = handBuilt(
+      [&](FunctionIR& fn, Block& b, int x) {
+        fn.tables.push_back({"t0", ScalarType::make(8, false), {1, 2, 3, 4}});
+        const Operand src = Operand::ofReg(x);
+        regs.clear();
+        for (int rep = 0; rep < 2; ++rep) {
+          regs.push_back(emit(fn, b, Opcode::Cast, ScalarType::make(16, true), {src}));
+          regs.push_back(emit(fn, b, Opcode::BitSel, ScalarType::make(4, false), {src}, 4, 1));
+          regs.push_back(emit(fn, b, Opcode::Lut, ScalarType::make(8, false), {src}, 0, 0, "t0"));
+        }
+      },
+      [&](const FunctionIR&) { return regs; });
+  EXPECT_EQ(commonSubexpressionEliminate(g), 3) << g.dump();
+}
+
+/// mir-optimize runs to a fixed point: running the standard passes again on
+/// its output changes nothing.
+void expectFixedPoint(const std::string& label, const CompileResult& r) {
+  ASSERT_TRUE(r.ok) << label << ":\n" << r.diags.dump();
+  FunctionIR again = r.mir;
+  const StandardPassStats st = runStandardPasses(again);
+  EXPECT_EQ(st.total(), 0) << label;
+  EXPECT_EQ(st.rounds, 1) << label;
+  EXPECT_EQ(again.dump(), r.mir.dump()) << label;
+}
+
+TEST(Passes, StandardPassesAreAFixedPointAtEveryDesignPoint) {
+  for (const auto& p : testpoints::designPoints()) {
+    expectFixedPoint(p.label, Compiler(p.options).compileSource(p.source));
+  }
+}
+
+TEST(Passes, StandardPassesAreAFixedPointOnFuzzedKernels) {
+  KernelFuzzer fuzzer(0x0b7e5eedull);
+  for (int i = 0; i < 200; ++i) {
+    const auto g = fuzzer.generate();
+    expectFixedPoint(g.source, Compiler().compileSource(g.source));
   }
 }
 
