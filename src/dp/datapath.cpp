@@ -156,17 +156,6 @@ class Builder {
     dt_ = mir::computeDominators(fn_);
     regValue_.assign(static_cast<size_t>(fn_.regCount()), -1);
     joinMuxNode_.assign(fn_.blocks.size(), -1);
-    // Table capacity: a few ops per instruction (its constants included),
-    // more for a constant multiply's shift-add tree and a divider's rows.
-    size_t capacity = fn_.params.size();
-    for (const auto& b : fn_.blocks) {
-      for (const auto& in : b.instrs) {
-        const bool divider = opt_.expandDividers && (in.op == Opcode::Div || in.op == Opcode::Rem);
-        capacity += divider ? 10 * static_cast<size_t>(in.type.width) + 32 : in.op == Opcode::Mul ? 8 : 3;
-      }
-    }
-    out_.ops.reserve(capacity);
-    out_.values.reserve(capacity);
     createPorts();
     if (!placeOps()) return false;
     insertPipeNodes();

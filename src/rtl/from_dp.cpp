@@ -1,7 +1,5 @@
 #include "rtl/from_dp.hpp"
 
-#include <algorithm>
-
 #include "support/budget.hpp"
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
@@ -57,7 +55,6 @@ class Lowering {
     defStage_.assign(dp_.values.size(), 0);
     isConst_.assign(dp_.values.size(), 0);
     staged_.assign(dp_.values.size(), {});
-    reserveCapacity();
 
     // Input ports.
     for (const auto& port : dp_.inputs) {
@@ -138,28 +135,6 @@ class Lowering {
   std::vector<int> validAt_; ///< valid net per stage (only when feedbacks exist)
 
   ScalarType hwType(const DpValue& v) const { return ScalarType::make(v.width, v.isSigned); }
-
-  /// Sizes the net and cell tables once: about one of each per op, plus a
-  /// pipeline register per stage a value crosses.
-  void reserveCapacity() {
-    std::vector<int> lastStage(dp_.values.size(), -1);
-    auto use = [&](int v, int stage) {
-      lastStage[static_cast<size_t>(v)] = std::max(lastStage[static_cast<size_t>(v)], stage);
-    };
-    for (const auto& o : dp_.ops) {
-      for (int v : o.operands) use(v, o.stage);
-    }
-    for (const auto& port : dp_.outputs) use(port.value, dp_.stageCount - 1);
-    for (const auto& fb : dp_.feedbacks) use(fb.snxValue, fb.stage);
-    size_t n = 2 * dp_.ops.size() + dp_.inputs.size() + 2 * dp_.feedbacks.size() +
-               2 * dp_.outputs.size() + static_cast<size_t>(dp_.stageCount);
-    for (const auto& v : dp_.values) {
-      const int def = v.def >= 0 ? dp_.ops[static_cast<size_t>(v.def)].stage : 0;
-      n += static_cast<size_t>(std::max(0, lastStage[static_cast<size_t>(v.id)] - def));
-    }
-    out_.nets.reserve(n);
-    out_.cells.reserve(n);
-  }
 
   int fbNetOf(const std::string& name) const {
     for (size_t fi = 0; fi < dp_.feedbacks.size(); ++fi) {
