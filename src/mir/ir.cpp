@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <functional>
 #include <sstream>
 
 #include "support/strings.hpp"
