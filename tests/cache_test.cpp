@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -114,6 +115,89 @@ TEST(CacheKey, SensitiveToEverySemanticOption) {
     EXPECT_NE(computeCacheKey(kSmallKernel, options), baseKey) << label;
   }
   EXPECT_NE(computeCacheKey("void other() {}", base), baseKey) << "source bytes";
+}
+
+TEST(CacheKey, CanonicalOptionBytesArePinned) {
+  // The exact canonical option text behind every cache key. A change here
+  // moves every key, so it must come with a kCacheSchema bump.
+  const std::string kDefault =
+      "kernel=0:;unroll=1;autoUnrollSliceBudget=0;fullUnrollInnerLoops=1;"
+      "maxInnerUnrollTrip=256;convertCallsToLuts=1;lutMaxIndexBits=10;optimize=1;"
+      "dp.targetStageDelayNs=4010000000000000;dp.pipeline=1;dp.inferBitWidths=1;"
+      "dp.widthMode=1;dp.multStyle=0;dp.expandDividers=1;pipeline.verifyEach=0;"
+      "budget.timeoutMs=0;budget.maxIrNodes=0;budget.maxUnrollProduct=0;budget.maxDepth=256;"
+      "injectFaultAt=0:;retimePipeline=1;timingModelSpec=0:;";
+  EXPECT_EQ(canonicalizeOptions(CompileOptions{}), kDefault);
+
+  // One perturbation per leaf field: `from` -> `to` is the only change in
+  // the text (from == to for the presentation-only fields).
+  struct Case {
+    const char* label;
+    void (*mutate)(CompileOptions&);
+    const char* from;
+    const char* to;
+  };
+  using dp::BuildOptions;
+  const Case cases[] = {
+      {"kernelName", [](CompileOptions& o) { o.kernelName = "fir"; }, "kernel=0:;",
+       "kernel=3:fir;"},
+      {"unrollFactor", [](CompileOptions& o) { o.unrollFactor = 4; }, "unroll=1;", "unroll=4;"},
+      {"autoUnrollSliceBudget", [](CompileOptions& o) { o.autoUnrollSliceBudget = 500; },
+       "autoUnrollSliceBudget=0;", "autoUnrollSliceBudget=500;"},
+      {"fullUnrollInnerLoops", [](CompileOptions& o) { o.fullUnrollInnerLoops = false; },
+       "fullUnrollInnerLoops=1;", "fullUnrollInnerLoops=0;"},
+      {"maxInnerUnrollTrip", [](CompileOptions& o) { o.maxInnerUnrollTrip = 64; },
+       "maxInnerUnrollTrip=256;", "maxInnerUnrollTrip=64;"},
+      {"convertCallsToLuts", [](CompileOptions& o) { o.convertCallsToLuts = false; },
+       "convertCallsToLuts=1;", "convertCallsToLuts=0;"},
+      {"lutMaxIndexBits", [](CompileOptions& o) { o.lutMaxIndexBits = 8; }, "lutMaxIndexBits=10;",
+       "lutMaxIndexBits=8;"},
+      {"optimize", [](CompileOptions& o) { o.optimize = false; }, "optimize=1;", "optimize=0;"},
+      {"dp.targetStageDelayNs", [](CompileOptions& o) { o.dpOptions.targetStageDelayNs = 7.5; },
+       "dp.targetStageDelayNs=4010000000000000;", "dp.targetStageDelayNs=401e000000000000;"},
+      {"dp.pipeline", [](CompileOptions& o) { o.dpOptions.pipeline = false; }, "dp.pipeline=1;",
+       "dp.pipeline=0;"},
+      {"dp.inferBitWidths", [](CompileOptions& o) { o.dpOptions.inferBitWidths = false; },
+       "dp.inferBitWidths=1;", "dp.inferBitWidths=0;"},
+      {"dp.widthMode",
+       [](CompileOptions& o) { o.dpOptions.widthMode = BuildOptions::WidthMode::PortOpcode; },
+       "dp.widthMode=1;", "dp.widthMode=0;"},
+      {"dp.multStyle",
+       [](CompileOptions& o) { o.dpOptions.multStyle = BuildOptions::MultStyle::Mult18; },
+       "dp.multStyle=0;", "dp.multStyle=1;"},
+      {"dp.expandDividers", [](CompileOptions& o) { o.dpOptions.expandDividers = false; },
+       "dp.expandDividers=1;", "dp.expandDividers=0;"},
+      {"retimePipeline", [](CompileOptions& o) { o.retimePipeline = false; }, "retimePipeline=1;",
+       "retimePipeline=0;"},
+      {"timingModelSpec", [](CompileOptions& o) { o.timingModelSpec = "clock-overhead-ns 1.1\n"; },
+       "timingModelSpec=0:;", "timingModelSpec=22:clock-overhead-ns 1.1\n;"},
+      {"pipeline.verifyEach", [](CompileOptions& o) { o.pipeline.verifyEach = true; },
+       "pipeline.verifyEach=0;", "pipeline.verifyEach=1;"},
+      {"pipeline.printAfterAll", [](CompileOptions& o) { o.pipeline.printAfterAll = true; }, "",
+       ""},
+      {"pipeline.printAfter", [](CompileOptions& o) { o.pipeline.printAfter = {"unroll"}; }, "",
+       ""},
+      {"budget.timeoutMs", [](CompileOptions& o) { o.budget.timeoutMs = 1234; },
+       "budget.timeoutMs=0;", "budget.timeoutMs=1234;"},
+      {"budget.maxIrNodes", [](CompileOptions& o) { o.budget.maxIrNodes = 99999; },
+       "budget.maxIrNodes=0;", "budget.maxIrNodes=99999;"},
+      {"budget.maxUnrollProduct", [](CompileOptions& o) { o.budget.maxUnrollProduct = 512; },
+       "budget.maxUnrollProduct=0;", "budget.maxUnrollProduct=512;"},
+      {"budget.maxDepth", [](CompileOptions& o) { o.budget.maxDepth = 64; },
+       "budget.maxDepth=256;", "budget.maxDepth=64;"},
+      {"injectFaultAt", [](CompileOptions& o) { o.injectFaultAt = "driver.job"; },
+       "injectFaultAt=0:;", "injectFaultAt=10:driver.job;"},
+  };
+  EXPECT_EQ(std::size(cases), 24u);
+  for (const Case& c : cases) {
+    CompileOptions o;
+    c.mutate(o);
+    std::string expected = kDefault;
+    const size_t at = expected.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.label;
+    expected.replace(at, std::strlen(c.from), c.to);
+    EXPECT_EQ(canonicalizeOptions(o), expected) << c.label;
+  }
 }
 
 TEST(CacheKey, TimingOptionsPartitionHitsButStayByteIdenticalWithinKey) {

@@ -198,6 +198,59 @@ TEST(ServiceNetOptions, UnknownKeysAndWrongTypesAreRejected) {
   EXPECT_FALSE(compileOptionsFromJson(o, base, {}, out, error));
 }
 
+TEST(ServiceNetOptions, RejectionMessagesArePinned) {
+  // The exact bad-request text for a wrong-typed or out-of-range value of
+  // every protocol key: clients and scripts match on these strings.
+  const Value str = Value::string("2");
+  const Value num = Value::number(int64_t{3});
+  const Value frac = Value::number(1.5);
+  const Value neg = Value::number(int64_t{-1});
+  const Value zero = Value::number(int64_t{0});
+  const Value yes = Value::boolean(true);
+  const struct {
+    const char* key;
+    Value value;
+    const char* error;
+  } cases[] = {
+      {"kernel", num, "option 'kernel' must be a string"},
+      {"unroll", str, "option 'unroll' must be an integer >= 1"},
+      {"unroll", frac, "option 'unroll' must be an integer >= 1"},
+      {"unroll", zero, "option 'unroll' must be an integer >= 1"},
+      {"targetNs", str, "option 'targetNs' must be a number"},
+      {"targetNs", yes, "option 'targetNs' must be a number"},
+      {"retime", num, "option 'retime' must be a boolean"},
+      {"multStyle", yes, "option 'multStyle' must be \"lut\" or \"mult18\""},
+      {"multStyle", Value::string("dsp48"), "option 'multStyle' must be \"lut\" or \"mult18\""},
+      {"inferWidths", str, "option 'inferWidths' must be a boolean"},
+      {"pipeline", num, "option 'pipeline' must be a boolean"},
+      {"optimize", zero, "option 'optimize' must be a boolean"},
+      {"lutConvert", str, "option 'lutConvert' must be a boolean"},
+      {"timeoutMs", frac, "option 'timeoutMs' must be an integer"},
+      {"timeoutMs", str, "option 'timeoutMs' must be an integer"},
+      {"maxIrNodes", neg, "option 'maxIrNodes' must be an integer >= 0"},
+      {"maxIrNodes", yes, "option 'maxIrNodes' must be an integer >= 0"},
+      {"maxUnrollProduct", neg, "option 'maxUnrollProduct' must be an integer >= 0"},
+      {"maxUnrollProduct", frac, "option 'maxUnrollProduct' must be an integer >= 0"},
+      {"maxDepth", neg, "option 'maxDepth' must be an integer >= 0"},
+      {"maxDepth", str, "option 'maxDepth' must be an integer >= 0"},
+      {"injectFault", yes, "option 'injectFault' must be a string"},
+      {"verilog", str, "option 'verilog' must be a boolean"},
+      {"unrol", num, "unknown option 'unrol'"},
+  };
+  for (const auto& c : cases) {
+    Value o = Value::object();
+    o.set(c.key, c.value);
+    CompileOptions out;
+    std::string error;
+    EXPECT_FALSE(compileOptionsFromJson(o, CompileOptions{}, {}, out, error)) << c.key;
+    EXPECT_EQ(error, c.error) << c.key << " = " << c.value.dump();
+  }
+  CompileOptions out;
+  std::string error;
+  EXPECT_FALSE(compileOptionsFromJson(Value::array(), CompileOptions{}, {}, out, error));
+  EXPECT_EQ(error, "'options' must be an object");
+}
+
 TEST(ServiceNetOptions, SemanticFieldsApplyOverBase) {
   CompileOptions base, out;
   base.unrollFactor = 1;
