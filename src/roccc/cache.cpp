@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include "roccc/options.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
 
@@ -58,45 +59,13 @@ bool parseDoubleBits(std::string_view hex, double& out) {
 }
 
 std::string canonicalizeOptions(const CompileOptions& o) {
-  std::ostringstream s;
-  // Every field here changes what the compiler produces. Fixed order; new
-  // semantic fields must be appended (and kCacheSchema bumped).
-  //
-  // Deliberately absent: o.pipeline.printAfterAll and o.pipeline.printAfter
-  // (IR-snapshot requests — pure presentation, snapshots are never cached)
-  // and roccc-cc's --quiet (never reaches CompileOptions at all). See the
-  // KeyIgnoresPresentationFields test.
-  s << "kernel=" << o.kernelName.size() << ':' << o.kernelName << ';';
-  s << "unroll=" << o.unrollFactor << ';';
-  s << "autoUnrollSliceBudget=" << o.autoUnrollSliceBudget << ';';
-  s << "fullUnrollInnerLoops=" << (o.fullUnrollInnerLoops ? 1 : 0) << ';';
-  s << "maxInnerUnrollTrip=" << o.maxInnerUnrollTrip << ';';
-  s << "convertCallsToLuts=" << (o.convertCallsToLuts ? 1 : 0) << ';';
-  s << "lutMaxIndexBits=" << o.lutMaxIndexBits << ';';
-  s << "optimize=" << (o.optimize ? 1 : 0) << ';';
-  s << "dp.targetStageDelayNs=" << doubleBits(o.dpOptions.targetStageDelayNs) << ';';
-  s << "dp.pipeline=" << (o.dpOptions.pipeline ? 1 : 0) << ';';
-  s << "dp.inferBitWidths=" << (o.dpOptions.inferBitWidths ? 1 : 0) << ';';
-  s << "dp.widthMode=" << static_cast<int>(o.dpOptions.widthMode) << ';';
-  s << "dp.multStyle=" << static_cast<int>(o.dpOptions.multStyle) << ';';
-  s << "dp.expandDividers=" << (o.dpOptions.expandDividers ? 1 : 0) << ';';
-  // verifyEach is semantic at the margin: it can turn a latent invariant
-  // break into a structured failure, so verified and unverified compiles
-  // must not share an entry.
-  s << "pipeline.verifyEach=" << (o.pipeline.verifyEach ? 1 : 0) << ';';
-  s << "budget.timeoutMs=" << o.budget.timeoutMs << ';';
-  s << "budget.maxIrNodes=" << o.budget.maxIrNodes << ';';
-  s << "budget.maxUnrollProduct=" << o.budget.maxUnrollProduct << ';';
-  s << "budget.maxDepth=" << o.budget.maxDepth << ';';
-  // The fault-injection salt: an armed compile never shares a key with a
-  // clean one (armed results are uncacheable anyway — belt and suspenders).
-  s << "injectFaultAt=" << o.injectFaultAt.size() << ':' << o.injectFaultAt << ';';
-  // v2: timing-driven retiming. The model spec is the file's *contents*, so
-  // two --timing-model paths with identical text share an entry and editing
-  // the file changes the key.
-  s << "retimePipeline=" << (o.retimePipeline ? 1 : 0) << ';';
-  s << "timingModelSpec=" << o.timingModelSpec.size() << ':' << o.timingModelSpec << ';';
-  return s.str();
+  // The keyed rows of the option table, in table order (roccc/options.cpp).
+  std::string s;
+  s.reserve(512);
+  for (const OptionField& f : compileOptionFields()) {
+    if (f.keyed) appendOptionKey(f, o, s);
+  }
+  return s;
 }
 
 std::string computeCacheKey(std::string_view source, const CompileOptions& options) {

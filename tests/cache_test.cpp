@@ -20,6 +20,7 @@
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
 #include "roccc/driver.hpp"
+#include "option_perturb.hpp"
 #include "support/hash.hpp"
 
 namespace roccc {
@@ -84,35 +85,17 @@ TEST(CacheKey, SensitiveToEverySemanticOption) {
   const std::string baseKey = computeCacheKey(kSmallKernel, base);
   EXPECT_EQ(baseKey.size(), 64u);
 
-  // Each mutation must move the key: a stale hit across any of these would
-  // serve artifacts from a different compile.
-  std::vector<std::pair<const char*, CompileOptions>> variants;
-  auto add = [&](const char* label, auto mutate) {
+  // Every keyed row of the option table must move the key (a stale hit
+  // across it would serve artifacts from a different compile), and every
+  // presentation row must not (it would only fragment the key space).
+  for (const OptionField& f : compileOptionFields()) {
     CompileOptions o;
-    mutate(o);
-    variants.emplace_back(label, std::move(o));
-  };
-  add("kernelName", [](CompileOptions& o) { o.kernelName = "other"; });
-  add("unrollFactor", [](CompileOptions& o) { o.unrollFactor = 4; });
-  add("optimize", [](CompileOptions& o) { o.optimize = !o.optimize; });
-  add("targetStageDelayNs", [](CompileOptions& o) { o.dpOptions.targetStageDelayNs = 7.5; });
-  add("pipeline", [](CompileOptions& o) { o.dpOptions.pipeline = !o.dpOptions.pipeline; });
-  add("inferBitWidths",
-      [](CompileOptions& o) { o.dpOptions.inferBitWidths = !o.dpOptions.inferBitWidths; });
-  add("multStyle",
-      [](CompileOptions& o) { o.dpOptions.multStyle = dp::BuildOptions::MultStyle::Mult18; });
-  add("verifyEach", [](CompileOptions& o) { o.pipeline.verifyEach = true; });
-  add("timeoutMs", [](CompileOptions& o) { o.budget.timeoutMs = 1234; });
-  add("maxIrNodes", [](CompileOptions& o) { o.budget.maxIrNodes = 99999; });
-  add("maxUnrollProduct", [](CompileOptions& o) { o.budget.maxUnrollProduct = 512; });
-  add("maxDepth", [](CompileOptions& o) { o.budget.maxDepth = 64; });
-  add("injectFaultAt", [](CompileOptions& o) { o.injectFaultAt = "driver.job"; });
-  add("retimePipeline", [](CompileOptions& o) { o.retimePipeline = !o.retimePipeline; });
-  add("timingModelSpec",
-      [](CompileOptions& o) { o.timingModelSpec = "clock-overhead-ns 1.1\n"; });
-
-  for (const auto& [label, options] : variants) {
-    EXPECT_NE(computeCacheKey(kSmallKernel, options), baseKey) << label;
+    perturbOption(f, o);
+    if (f.keyed) {
+      EXPECT_NE(computeCacheKey(kSmallKernel, o), baseKey) << f.key;
+    } else {
+      EXPECT_EQ(computeCacheKey(kSmallKernel, o), baseKey) << f.key;
+    }
   }
   EXPECT_NE(computeCacheKey("void other() {}", base), baseKey) << "source bytes";
 }

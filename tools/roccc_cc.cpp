@@ -90,9 +90,8 @@
 // the --help output generated from the option table below.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <fstream>
-#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -102,6 +101,7 @@
 #include "roccc/cache.hpp"
 #include "roccc/compiler.hpp"
 #include "roccc/driver.hpp"
+#include "roccc/options.hpp"
 #include "roccc/verify.hpp"
 #include "synth/estimate.hpp"
 #include "vhdl/check.hpp"
@@ -144,68 +144,32 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// One row of the option table: entries with a null `valueName` are pure
-/// flags; value options accept both "--opt VALUE" and "--opt=VALUE". The
-/// handler returns false on a bad value. The --help listing and the
-/// docs/CLI.md sync check are generated from this table, so every option
-/// must live here.
-struct OptionSpec {
-  const char* name;
-  const char* valueName; ///< null for flags; shown in --help
-  const char* help;      ///< one-line --help description
-  std::function<bool(Args&, const char*)> apply;
-};
-
-const std::vector<OptionSpec>& optionTable() {
-  using roccc::dp::BuildOptions;
+/// The option table: roccc-cc's own options, then every compile option
+/// with a flag (roccc/options.hpp). The --help listing and the docs/CLI.md
+/// sync check are generated from it, so every option must live here.
+std::vector<roccc::cli::Option> optionTable(Args& a) {
+  namespace cli = roccc::cli;
   using roccc::rtl::SimEngine;
-  static const std::vector<OptionSpec> table = {
-      {"-o", "FILE", "output VHDL path (default: <input>.vhd)",
-       [](Args& a, const char* v) { a.output = v; return true; }},
-      {"--kernel", "NAME", "kernel function (default: last function in the file)",
-       [](Args& a, const char* v) { a.options.kernelName = v; return true; }},
-      {"--unroll", "N", "partially unroll the streaming loop by N",
-       [](Args& a, const char* v) { a.options.unrollFactor = std::atoi(v); return true; }},
-      {"--target-ns", "X", "pipeline stage delay target in ns (default 4.0); retime balances to it",
-       [](Args& a, const char* v) {
-         a.options.dpOptions.targetStageDelayNs = std::atof(v);
-         return true;
-       }},
-      {"--timing-model", "FILE", "per-primitive delay/area/energy table (docs/SYNTHESIS.md format)",
-       [](Args& a, const char* v) { a.timingModelPath = v; return true; }},
-      {"--no-retime", nullptr, "disable the timing-driven retime pass (fixed greedy staging)",
-       [](Args& a, const char*) { a.options.retimePipeline = false; return true; }},
-      {"--mult-style", "S", "multiplier style: 'lut' (default) or 'mult18'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "lut") == 0) {
-           a.options.dpOptions.multStyle = BuildOptions::MultStyle::Lut;
-         } else if (std::strcmp(v, "mult18") == 0) {
-           a.options.dpOptions.multStyle = BuildOptions::MultStyle::Mult18;
-         } else {
-           return false;
-         }
-         return true;
-       }},
-      {"--no-infer", nullptr, "disable bit-width inference",
-       [](Args& a, const char*) { a.options.dpOptions.inferBitWidths = false; return true; }},
-      {"--no-pipeline", nullptr, "single combinational stage (no pipelining)",
-       [](Args& a, const char*) { a.options.dpOptions.pipeline = false; return true; }},
-      {"--testbench", nullptr, "also write <output>_tb.vhd (system-level, interpreter-derived vectors)",
-       [](Args& a, const char*) { a.testbench = true; return true; }},
+  std::vector<cli::Option> table = {
+      cli::text("-o", "FILE", "output VHDL path (default: <input>.vhd)", a.output),
+      cli::text("--timing-model", "FILE",
+                "per-primitive delay/area/energy table (docs/SYNTHESIS.md format)",
+                a.timingModelPath),
+      cli::flag("--testbench",
+                "also write <output>_tb.vhd (system-level, interpreter-derived vectors)",
+                a.testbench),
       {"--tb-seed", "N", "with --testbench: append 16 seeded random vectors (seed in header)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.tbSeed = std::strtoull(v, &end, 0);
+       [&a](const char* v) {
          a.tbSeedSet = true;
-         return end != v && *end == '\0';
+         return cli::parseUnsigned(v, a.tbSeed);
        }},
-      {"--cosim", nullptr, "run the RTL system and verify against the interpreter",
-       [](Args& a, const char*) { a.cosim = true; return true; }},
+      cli::flag("--cosim", "run the RTL system and verify against the interpreter", a.cosim),
       {"--sim-engine", "E", "netlist engine for --cosim and the --testbench check: 'fast' or 'ref'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "ref") == 0 || std::strcmp(v, "reference") == 0) {
+       [&a](const char* v) {
+         const std::string_view e = v;
+         if (e == "ref" || e == "reference") {
            a.engine = SimEngine::Reference;
-         } else if (std::strcmp(v, "fast") == 0) {
+         } else if (e == "fast") {
            a.engine = SimEngine::Fast;
          } else {
            return false;
@@ -213,147 +177,54 @@ const std::vector<OptionSpec>& optionTable() {
          return true;
        }},
       {"--vcd", "FILE", "with --cosim: dump a VCD waveform of the run",
-       [](Args& a, const char* v) {
+       [&a](const char* v) {
          a.vcdPath = v;
          a.cosim = true;
          return true;
        }},
-      {"--verilog", "FILE", "also write the Verilog form of the design",
-       [](Args& a, const char* v) { a.verilogPath = v; return true; }},
-      {"--json", "FILE", "export the data-path graph as JSON",
-       [](Args& a, const char* v) { a.jsonPath = v; return true; }},
-      {"--stats-json", "FILE", "write pass statistics (single) or batch+cache stats as JSON",
-       [](Args& a, const char* v) { a.statsJsonPath = v; return true; }},
-      {"--dump-datapath", nullptr, "print the data-path op listing",
-       [](Args& a, const char*) { a.dumpDatapath = true; return true; }},
-      {"--dump-mir", nullptr, "print the back-end IR",
-       [](Args& a, const char*) { a.dumpMir = true; return true; }},
-      {"--time-passes", nullptr, "print the per-pass timing/counter table",
-       [](Args& a, const char*) { a.timePasses = true; return true; }},
-      {"--verify-each", nullptr, "run the layer verifier after every pipeline pass",
-       [](Args& a, const char*) { a.options.pipeline.verifyEach = true; return true; }},
-      {"--print-after-all", nullptr, "dump the IR after every pass (stderr)",
-       [](Args& a, const char*) { a.options.pipeline.printAfterAll = true; return true; }},
-      {"--print-after", "P", "dump the IR after pass P (repeatable)",
-       [](Args& a, const char* v) {
-         a.options.pipeline.printAfter.emplace_back(v);
-         return true;
-       }},
-      {"--jobs", "N", "batch mode: N worker threads (0 = one per hardware thread)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.jobs = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.jobs >= 0;
-       }},
-      {"--manifest", "FILE", "read additional input paths from FILE (one per line)",
-       [](Args& a, const char* v) { a.manifestPath = v; return true; }},
-      {"--cache", nullptr, "batch mode: enable the content-addressed compile cache",
-       [](Args& a, const char*) { a.cacheEnabled = true; return true; }},
+      cli::text("--verilog", "FILE", "also write the Verilog form of the design", a.verilogPath),
+      cli::text("--json", "FILE", "export the data-path graph as JSON", a.jsonPath),
+      cli::text("--stats-json", "FILE",
+                "write pass statistics (single) or batch+cache stats as JSON", a.statsJsonPath),
+      cli::flag("--dump-datapath", "print the data-path op listing", a.dumpDatapath),
+      cli::flag("--dump-mir", "print the back-end IR", a.dumpMir),
+      cli::flag("--time-passes", "print the per-pass timing/counter table", a.timePasses),
+      cli::integer("--jobs", "N", "batch mode: N worker threads (0 = one per hardware thread)",
+                   a.jobs, 0),
+      cli::text("--manifest", "FILE", "read additional input paths from FILE (one per line)",
+                a.manifestPath),
+      cli::flag("--cache", "batch mode: enable the content-addressed compile cache",
+                a.cacheEnabled),
       {"--cache-dir", "DIR", "persistent on-disk cache tier in DIR (implies --cache)",
-       [](Args& a, const char* v) {
+       [&a](const char* v) {
          a.cacheEnabled = true;
          a.cacheDir = v;
          return true;
        }},
       {"--cache-bytes", "N", "in-memory cache byte budget, default 256 MiB (implies --cache)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cacheBytes = std::strtoll(v, &end, 10);
+       [&a](const char* v) {
          a.cacheEnabled = true;
-         return end != v && *end == '\0' && a.cacheBytes > 0;
+         return cli::parseInt(v, 1, INT64_MAX, a.cacheBytes);
        }},
-      {"--quiet", nullptr, "only errors (suppresses reports and pass timing)",
-       [](Args& a, const char*) { a.quiet = true; return true; }},
-      {"--timeout-ms", "N", "per-job wall-clock deadline (0 = none; negative = expired)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.timeoutMs = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0';
-       }},
-      {"--max-ir-nodes", "N", "per-job cap on total live IR nodes (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.maxIrNodes = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.options.budget.maxIrNodes >= 0;
-       }},
-      {"--max-unroll-product", "N", "cap on the product of all unroll expansions (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.maxUnrollProduct = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.options.budget.maxUnrollProduct >= 0;
-       }},
-      {"--max-depth", "N", "parser recursion/nesting depth cap (default 256, 0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.options.budget.maxDepth = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.options.budget.maxDepth >= 0;
-       }},
-      {"--inject-fault", "P", "arm fault point P (see faultPointRegistry)",
-       [](Args& a, const char* v) { a.options.injectFaultAt = v; return true; }},
-      {"--help", nullptr, "print this option list and exit",
-       [](Args& a, const char*) { a.showHelp = true; return true; }},
+      cli::flag("--quiet", "only errors (suppresses reports and pass timing)", a.quiet),
+      cli::flag("--help", "print this option list and exit", a.showHelp),
   };
+  for (const roccc::OptionField& f : roccc::compileOptionFields()) {
+    if (f.flag) table.push_back(roccc::cliOption(f, a.options));
+  }
   return table;
 }
 
 /// The --help listing, generated from the option table; the docs/CLI.md
 /// sync test (tests/check_cli_docs.sh) parses this output.
-void printHelp(const char* argv0) {
+void printHelp(const char* argv0, const std::vector<roccc::cli::Option>& table) {
   std::printf("usage: %s [options] kernel.c [kernel2.c ...]\n\n"
               "Compiles C kernels to RTL VHDL; with multiple inputs, compiles them as a\n"
               "concurrent batch. docs/CLI.md is the full reference.\n\noptions:\n",
               argv0);
-  for (const auto& s : optionTable()) {
-    std::string left = s.name;
-    if (s.valueName) {
-      left += ' ';
-      left += s.valueName;
-    }
-    std::printf("  %-22s %s\n", left.c_str(), s.help);
-  }
+  roccc::cli::printOptions(table);
   std::printf("\nexit codes: 0 ok, 1 frontend error, 2 usage, 3 timeout,\n"
               "            4 resource budget exceeded, 5 internal error\n");
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.empty() || arg[0] != '-') {
-      a.inputs.push_back(arg);
-      continue;
-    }
-    // Split the "--opt=value" spelling.
-    std::string inlineValue;
-    bool hasInlineValue = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inlineValue = arg.substr(eq + 1);
-      arg.resize(eq);
-      hasInlineValue = true;
-    }
-    const OptionSpec* spec = nullptr;
-    for (const auto& s : optionTable()) {
-      if (arg == s.name) {
-        spec = &s;
-        break;
-      }
-    }
-    if (!spec) return false;
-    const char* value = nullptr;
-    if (spec->valueName) {
-      if (hasInlineValue) {
-        value = inlineValue.c_str();
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        return false;
-      }
-    } else if (hasInlineValue) {
-      return false;
-    }
-    if (!spec->apply(a, value)) return false;
-  }
-  return a.showHelp || !a.inputs.empty() || !a.manifestPath.empty();
 }
 
 /// Appends the manifest's input paths (one per line, blank lines and
@@ -514,9 +385,14 @@ roccc::interp::KernelIO randomInputs(const roccc::hlir::KernelInfo& k, uint64_t 
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage(argv[0]);
+  const std::vector<roccc::cli::Option> table = optionTable(a);
+  const auto addInput = [&a](const char* path) {
+    a.inputs.emplace_back(path);
+    return true;
+  };
+  if (!roccc::cli::parse(argc, argv, table, addInput)) return usage(argv[0]);
   if (a.showHelp) {
-    printHelp(argv[0]);
+    printHelp(argv[0], table);
     return 0;
   }
   if (!a.manifestPath.empty() && !readManifest(a.manifestPath, a.inputs)) return 1;
@@ -528,23 +404,14 @@ int main(int argc, char** argv) {
     if (const char* env = std::getenv("ROCCC_FAULT_INJECT")) a.options.injectFaultAt = env;
   }
 
-  // --timing-model: load the file *contents* into the compile options (the
-  // cache key hashes the contents, keeping a compile a pure function of
-  // (source, options)), and parse-validate it up front so a bad table is a
-  // single clear error instead of one per batch job.
+  // --timing-model: its contents go into the compile options, validated up
+  // front so a bad table is a single clear error instead of one per batch job.
   roccc::synth::TimingModel timingModel = roccc::synth::TimingModel::virtex2();
   if (!a.timingModelPath.empty()) {
-    std::ifstream tm(a.timingModelPath);
-    if (!tm) {
-      std::fprintf(stderr, "error: cannot open timing model '%s'\n", a.timingModelPath.c_str());
-      return 1;
-    }
-    std::ostringstream tmBuf;
-    tmBuf << tm.rdbuf();
-    a.options.timingModelSpec = tmBuf.str();
-    std::string tmError;
-    if (!roccc::synth::TimingModel::parse(a.options.timingModelSpec, timingModel, tmError)) {
-      std::fprintf(stderr, "error: %s: %s\n", a.timingModelPath.c_str(), tmError.c_str());
+    std::string error;
+    if (!roccc::loadTimingModel(a.timingModelPath, a.options.timingModelSpec, timingModel,
+                                error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
   }

@@ -36,15 +36,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <functional>
-#include <sstream>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "roccc/options.hpp"
 #include "roccc/service_net.hpp"
-#include "synth/estimate.hpp"
 
 namespace {
 
@@ -63,147 +60,61 @@ int usage(const char* argv0) {
   return 2;
 }
 
-struct OptionSpec {
-  const char* name;
-  const char* valueName; ///< null for flags; shown in --help
-  const char* help;      ///< one-line --help description
-  std::function<bool(Args&, const char*)> apply;
-};
-
-const std::vector<OptionSpec>& optionTable() {
-  static const std::vector<OptionSpec> table = {
-      {"--socket", "PATH", "socket path to bind (default: roccc-ccd.sock)",
-       [](Args& a, const char* v) { a.cfg.socketPath = v; return true; }},
-      {"--jobs", "N", "compile workers (0 = one per hardware thread)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.workers = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.workers >= 0;
-       }},
-      {"--queue", "N", "admission window: max in-flight jobs across all clients (default 256)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.maxQueue = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.maxQueue >= 1;
-       }},
-      {"--max-client-jobs", "N", "per-connection in-flight job quota (default 64)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.maxClientJobs = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.maxClientJobs >= 1;
-       }},
-      {"--max-request-bytes", "N", "per-request frame cap in bytes (default 8 MiB)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.maxRequestBytes = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.maxRequestBytes >= 64;
-       }},
-      {"--cache", nullptr, "enable the shared content-addressed compile cache",
-       [](Args& a, const char*) { a.cfg.cacheEnabled = true; return true; }},
+/// The option table; --help and the docs/CLI.md sync check are generated
+/// from it. --target-ns is the compile-option row (the server default);
+/// the budget flags set ceilings, not per-job budgets.
+std::vector<roccc::cli::Option> optionTable(Args& a) {
+  namespace cli = roccc::cli;
+  return {
+      cli::text("--socket", "PATH", "socket path to bind (default: roccc-ccd.sock)",
+                a.cfg.socketPath),
+      cli::integer("--jobs", "N", "compile workers (0 = one per hardware thread)", a.cfg.workers,
+                   0),
+      cli::integer("--queue", "N",
+                   "admission window: max in-flight jobs across all clients (default 256)",
+                   a.cfg.maxQueue, 1),
+      cli::integer("--max-client-jobs", "N", "per-connection in-flight job quota (default 64)",
+                   a.cfg.maxClientJobs, 1),
+      cli::integer("--max-request-bytes", "N", "per-request frame cap in bytes (default 8 MiB)",
+                   a.cfg.maxRequestBytes, 64),
+      cli::flag("--cache", "enable the shared content-addressed compile cache",
+                a.cfg.cacheEnabled),
       {"--cache-dir", "DIR", "persistent on-disk cache tier in DIR (implies --cache)",
-       [](Args& a, const char* v) {
+       [&a](const char* v) {
          a.cfg.cacheEnabled = true;
          a.cfg.cache.diskDir = v;
          return true;
        }},
       {"--cache-bytes", "N", "in-memory cache byte budget (implies --cache)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.cache.maxBytes = std::strtoll(v, &end, 10);
+       [&a](const char* v) {
          a.cfg.cacheEnabled = true;
-         return end != v && *end == '\0' && a.cfg.cache.maxBytes > 0;
+         return cli::parseInt(v, 1, INT64_MAX, a.cfg.cache.maxBytes);
        }},
-      {"--timeout-ms", "N", "ceiling on per-job wall-clock budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.timeoutMs = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.timeoutMs >= 0;
-       }},
-      {"--max-ir-nodes", "N", "ceiling on per-job IR-node budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.maxIrNodes = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.maxIrNodes >= 0;
-       }},
-      {"--max-unroll-product", "N", "ceiling on per-job unroll-product budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.maxUnrollProduct = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.maxUnrollProduct >= 0;
-       }},
-      {"--max-depth", "N", "ceiling on per-job nesting-depth budgets (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.cfg.budgetCeiling.maxDepth = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.cfg.budgetCeiling.maxDepth >= 0;
-       }},
-      {"--target-ns", "X", "server default pipeline stage delay target in ns",
-       [](Args& a, const char* v) {
-         a.cfg.baseOptions.dpOptions.targetStageDelayNs = std::atof(v);
-         return true;
-       }},
-      {"--timing-model", "FILE", "server default timing model table (docs/SYNTHESIS.md format)",
-       [](Args& a, const char* v) { a.timingModelPath = v; return true; }},
-      {"--quiet", nullptr, "suppress lifecycle log lines",
-       [](Args& a, const char*) { a.cfg.quiet = true; return true; }},
-      {"--help", nullptr, "print this option list and exit",
-       [](Args& a, const char*) { a.showHelp = true; return true; }},
+      cli::integer("--timeout-ms", "N", "ceiling on per-job wall-clock budgets (0 = none)",
+                   a.cfg.budgetCeiling.timeoutMs, 0),
+      cli::integer("--max-ir-nodes", "N", "ceiling on per-job IR-node budgets (0 = none)",
+                   a.cfg.budgetCeiling.maxIrNodes, 0),
+      cli::integer("--max-unroll-product", "N",
+                   "ceiling on per-job unroll-product budgets (0 = none)",
+                   a.cfg.budgetCeiling.maxUnrollProduct, 0),
+      cli::integer("--max-depth", "N", "ceiling on per-job nesting-depth budgets (0 = none)",
+                   a.cfg.budgetCeiling.maxDepth, 0),
+      roccc::cliOption(*roccc::findOptionByFlag("--target-ns"), a.cfg.baseOptions),
+      cli::text("--timing-model", "FILE",
+                "server default timing model table (docs/SYNTHESIS.md format)", a.timingModelPath),
+      cli::flag("--quiet", "suppress lifecycle log lines", a.cfg.quiet),
+      cli::flag("--help", "print this option list and exit", a.showHelp),
   };
-  return table;
 }
 
-void printHelp(const char* argv0) {
+void printHelp(const char* argv0, const std::vector<roccc::cli::Option>& table) {
   std::printf("usage: %s [options]\n\n"
               "Serves compile requests over an AF_UNIX socket (protocol roccc-ccd-v1).\n"
               "docs/CLI.md is the flag reference; docs/SERVICE.md the operations book.\n\n"
               "options:\n",
               argv0);
-  for (const auto& s : optionTable()) {
-    std::string left = s.name;
-    if (s.valueName) {
-      left += ' ';
-      left += s.valueName;
-    }
-    std::printf("  %-22s %s\n", left.c_str(), s.help);
-  }
+  roccc::cli::printOptions(table);
   std::printf("\nexit codes: 0 clean drain/stop, 1 startup failure, 2 usage\n");
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.empty() || arg[0] != '-') return false; // no positional arguments
-    std::string inlineValue;
-    bool hasInlineValue = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inlineValue = arg.substr(eq + 1);
-      arg.resize(eq);
-      hasInlineValue = true;
-    }
-    const OptionSpec* spec = nullptr;
-    for (const auto& s : optionTable()) {
-      if (arg == s.name) {
-        spec = &s;
-        break;
-      }
-    }
-    if (!spec) return false;
-    const char* value = nullptr;
-    if (spec->valueName) {
-      if (hasInlineValue) {
-        value = inlineValue.c_str();
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        return false;
-      }
-    } else if (hasInlineValue) {
-      return false;
-    }
-    if (!spec->apply(a, value)) return false;
-  }
-  return true;
 }
 
 // SIGTERM/SIGINT drain the daemon instead of killing it mid-compile.
@@ -218,26 +129,23 @@ void onSignal(int) {
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage(argv[0]);
+  const std::vector<roccc::cli::Option> table = optionTable(a);
+  // No positional arguments.
+  if (!roccc::cli::parse(argc, argv, table, [](const char*) { return false; })) {
+    return usage(argv[0]);
+  }
   if (a.showHelp) {
-    printHelp(argv[0]);
+    printHelp(argv[0], table);
     return 0;
   }
   // Like roccc-cc: the timing model's *contents* become part of the base
   // options (and so of every cache key), parse-validated once up front.
   if (!a.timingModelPath.empty()) {
-    std::ifstream tm(a.timingModelPath);
-    if (!tm) {
-      std::fprintf(stderr, "error: cannot open timing model '%s'\n", a.timingModelPath.c_str());
-      return 1;
-    }
-    std::ostringstream tmBuf;
-    tmBuf << tm.rdbuf();
-    a.cfg.baseOptions.timingModelSpec = tmBuf.str();
     roccc::synth::TimingModel model;
-    std::string tmError;
-    if (!roccc::synth::TimingModel::parse(a.cfg.baseOptions.timingModelSpec, model, tmError)) {
-      std::fprintf(stderr, "error: %s: %s\n", a.timingModelPath.c_str(), tmError.c_str());
+    std::string error;
+    if (!roccc::loadTimingModel(a.timingModelPath, a.cfg.baseOptions.timingModelSpec, model,
+                                error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
   }

@@ -45,13 +45,12 @@
 // the --help output generated from the option table below.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "roccc/options.hpp"
 #include "roccc/service_net.hpp"
 
 namespace {
@@ -64,7 +63,8 @@ struct Args {
   std::vector<std::string> inputs;
   std::string output;
   std::string verilogPath;
-  roccc::json::Value options = roccc::json::Value::object();
+  roccc::json::Value options = roccc::json::Value::object(); ///< the request's options
+  roccc::CompileOptions compile; ///< scratch the compile-option flags parse into
   std::string drainMode; ///< empty = no drain request
   bool status = false;
   bool metrics = false;
@@ -84,173 +84,60 @@ int usage(const char* argv0) {
   return 2;
 }
 
-struct OptionSpec {
-  const char* name;
-  const char* valueName; ///< null for flags; shown in --help
-  const char* help;      ///< one-line --help description
-  std::function<bool(Args&, const char*)> apply;
-};
-
-bool setIntOption(Args& a, const char* key, const char* v, int64_t min) {
-  char* end = nullptr;
-  const int64_t n = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || n < min) return false;
-  a.options.set(key, roccc::json::Value::number(n));
-  return true;
-}
-
-const std::vector<OptionSpec>& optionTable() {
+/// The option table; --help and the docs/CLI.md sync check are generated
+/// from it. The compile options are the rows with both a flag and a
+/// protocol key (roccc/options.hpp): each is checked here by the row's rule
+/// and sent as the row's JSON value; the daemon clamps budgets to its
+/// ceilings.
+std::vector<roccc::cli::Option> optionTable(Args& a) {
+  namespace cli = roccc::cli;
   using roccc::json::Value;
-  static const std::vector<OptionSpec> table = {
-      {"--socket", "PATH", "daemon socket path (default: roccc-ccd.sock)",
-       [](Args& a, const char* v) { a.socketPath = v; return true; }},
-      {"-o", "FILE", "output VHDL path (single input only; default: <input>.vhd)",
-       [](Args& a, const char* v) { a.output = v; return true; }},
-      {"--kernel", "NAME", "kernel function (default: last function in the file)",
-       [](Args& a, const char* v) {
-         a.options.set("kernel", Value::string(v));
-         return true;
-       }},
-      {"--unroll", "N", "partially unroll the streaming loop by N",
-       [](Args& a, const char* v) { return setIntOption(a, "unroll", v, 1); }},
-      {"--target-ns", "X", "pipeline stage delay target in ns",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         const double x = std::strtod(v, &end);
-         if (end == v || *end != '\0') return false;
-         a.options.set("targetNs", Value::number(x));
-         return true;
-       }},
-      {"--no-retime", nullptr, "disable the timing-driven retime pass",
-       [](Args& a, const char*) {
-         a.options.set("retime", Value::boolean(false));
-         return true;
-       }},
-      {"--mult-style", "S", "multiplier style: 'lut' or 'mult18'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "lut") != 0 && std::strcmp(v, "mult18") != 0) return false;
-         a.options.set("multStyle", Value::string(v));
-         return true;
-       }},
-      {"--no-infer", nullptr, "disable bit-width inference",
-       [](Args& a, const char*) {
-         a.options.set("inferWidths", Value::boolean(false));
-         return true;
-       }},
-      {"--no-pipeline", nullptr, "single combinational stage (no pipelining)",
-       [](Args& a, const char*) {
-         a.options.set("pipeline", Value::boolean(false));
-         return true;
-       }},
+  std::vector<cli::Option> table = {
+      cli::text("--socket", "PATH", "daemon socket path (default: roccc-ccd.sock)", a.socketPath),
+      cli::text("-o", "FILE", "output VHDL path (single input only; default: <input>.vhd)",
+                a.output),
       {"--verilog", "FILE", "also request and write the Verilog form (single input only)",
-       [](Args& a, const char* v) {
+       [&a](const char* v) {
          a.verilogPath = v;
          a.options.set("verilog", Value::boolean(true));
          return true;
        }},
-      {"--timeout-ms", "N", "per-job deadline in ms (clamped to the server ceiling)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         const int64_t n = std::strtoll(v, &end, 10);
-         if (end == v || *end != '\0') return false;
-         a.options.set("timeoutMs", Value::number(n));
-         return true;
-       }},
-      {"--max-ir-nodes", "N", "per-job IR-node cap (clamped to the server ceiling)",
-       [](Args& a, const char* v) { return setIntOption(a, "maxIrNodes", v, 0); }},
-      {"--max-unroll-product", "N", "unroll-product cap (clamped to the server ceiling)",
-       [](Args& a, const char* v) { return setIntOption(a, "maxUnrollProduct", v, 0); }},
-      {"--max-depth", "N", "nesting depth cap (clamped to the server ceiling)",
-       [](Args& a, const char* v) { return setIntOption(a, "maxDepth", v, 0); }},
-      {"--inject-fault", "P", "arm fault point P in the daemon-side job",
-       [](Args& a, const char* v) {
-         a.options.set("injectFault", Value::string(v));
-         return true;
-       }},
-      {"--status", nullptr, "print the daemon status response",
-       [](Args& a, const char*) { a.status = true; return true; }},
-      {"--metrics", nullptr, "print the live metrics response",
-       [](Args& a, const char*) { a.metrics = true; return true; }},
-      {"--ping", nullptr, "liveness check (expects a pong)",
-       [](Args& a, const char*) { a.ping = true; return true; }},
-      {"--reload", nullptr, "rebuild the daemon's cache over its directory",
-       [](Args& a, const char*) { a.reload = true; return true; }},
+      cli::flag("--status", "print the daemon status response", a.status),
+      cli::flag("--metrics", "print the live metrics response", a.metrics),
+      cli::flag("--ping", "liveness check (expects a pong)", a.ping),
+      cli::flag("--reload", "rebuild the daemon's cache over its directory", a.reload),
       {"--drain", "M", "drain the daemon: 'stop', 'pause' or 'resume'",
-       [](Args& a, const char* v) {
-         if (std::strcmp(v, "stop") != 0 && std::strcmp(v, "pause") != 0 &&
-             std::strcmp(v, "resume") != 0) {
-           return false;
-         }
+       [&a](const char* v) {
+         const std::string_view m = v;
+         if (m != "stop" && m != "pause" && m != "resume") return false;
          a.drainMode = v;
          return true;
        }},
-      {"--json", nullptr, "print raw JSON responses instead of writing files",
-       [](Args& a, const char*) { a.rawJson = true; return true; }},
-      {"--quiet", nullptr, "only errors",
-       [](Args& a, const char*) { a.quiet = true; return true; }},
-      {"--help", nullptr, "print this option list and exit",
-       [](Args& a, const char*) { a.showHelp = true; return true; }},
+      cli::flag("--json", "print raw JSON responses instead of writing files", a.rawJson),
+      cli::flag("--quiet", "only errors", a.quiet),
+      cli::flag("--help", "print this option list and exit", a.showHelp),
   };
+  for (const roccc::OptionField& f : roccc::compileOptionFields()) {
+    if (!f.flag || !f.jsonKey) continue;
+    table.push_back({f.flag, f.valueName, f.help, [&a, &f](const char* v) {
+                       if (!roccc::parseOptionArg(f, v, a.compile)) return false;
+                       a.options.set(f.jsonKey, roccc::optionJson(f, a.compile));
+                       return true;
+                     }});
+  }
   return table;
 }
 
-void printHelp(const char* argv0) {
+void printHelp(const char* argv0, const std::vector<roccc::cli::Option>& table) {
   std::printf("usage: %s [options] kernel.c [kernel2.c ...]\n\n"
               "Compiles C kernels through a running roccc-ccd daemon (byte-identical to\n"
               "roccc-cc). docs/CLI.md is the flag reference; docs/SERVICE.md the protocol.\n\n"
               "options:\n",
               argv0);
-  for (const auto& s : optionTable()) {
-    std::string left = s.name;
-    if (s.valueName) {
-      left += ' ';
-      left += s.valueName;
-    }
-    std::printf("  %-22s %s\n", left.c_str(), s.help);
-  }
+  roccc::cli::printOptions(table);
   std::printf("\nexit codes: 0 ok, 1 frontend error, 2 usage, 3 timeout,\n"
               "            4 resource budget exceeded, 5 internal error,\n"
               "            6 transport/protocol failure, 7 rejected by the daemon\n");
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.empty() || arg[0] != '-') {
-      a.inputs.push_back(arg);
-      continue;
-    }
-    std::string inlineValue;
-    bool hasInlineValue = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inlineValue = arg.substr(eq + 1);
-      arg.resize(eq);
-      hasInlineValue = true;
-    }
-    const OptionSpec* spec = nullptr;
-    for (const auto& s : optionTable()) {
-      if (arg == s.name) {
-        spec = &s;
-        break;
-      }
-    }
-    if (!spec) return false;
-    const char* value = nullptr;
-    if (spec->valueName) {
-      if (hasInlineValue) {
-        value = inlineValue.c_str();
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        return false;
-      }
-    } else if (hasInlineValue) {
-      return false;
-    }
-    if (!spec->apply(a, value)) return false;
-  }
-  return true;
 }
 
 /// Maps a response row's `status` string back to a process exit code —
@@ -344,9 +231,14 @@ int consumeRow(const Args& a, const roccc::json::Value& row, const std::string& 
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage(argv[0]);
+  const std::vector<roccc::cli::Option> table = optionTable(a);
+  const auto addInput = [&a](const char* path) {
+    a.inputs.emplace_back(path);
+    return true;
+  };
+  if (!roccc::cli::parse(argc, argv, table, addInput)) return usage(argv[0]);
   if (a.showHelp) {
-    printHelp(argv[0]);
+    printHelp(argv[0], table);
     return 0;
   }
   const int adminOps = static_cast<int>(a.status) + static_cast<int>(a.metrics) +

@@ -26,7 +26,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,6 +33,7 @@
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
 #include "roccc/explore.hpp"
+#include "roccc/options.hpp"
 #include "support/strings.hpp"
 #include "synth/timing.hpp"
 
@@ -57,7 +57,6 @@ struct Args {
   bool noCycles = false;
   bool verifyPareto = false;
   std::string timingModelPath;
-  std::string timingModelSpec;
   roccc::CompileOptions base;
   bool bestOnly = false;
   bool quiet = false;
@@ -72,67 +71,42 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parseIntList(const char* v, std::vector<int>& out, int min) {
-  out.clear();
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const long n = std::strtol(item.c_str(), &end, 10);
-    if (end == item.c_str() || *end != '\0' || n < min) return false;
-    out.push_back(static_cast<int>(n));
-  }
-  return !out.empty();
-}
-
 bool parseDoubleList(const char* v, std::vector<double>& out) {
   out.clear();
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const double d = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0' || d < 0) return false;
+  for (const std::string& item : roccc::cli::splitList(v)) {
+    double d = 0;
+    if (!roccc::cli::parseDouble(item.c_str(), d) || d < 0) return false;
     out.push_back(d);
   }
   return !out.empty();
 }
 
-/// One row of the option table — the same shape as roccc-cc's; --help and
-/// the docs/EXPLORE.md sync check (explore_cli_docs_in_sync) are generated
-/// from it.
-struct OptionSpec {
-  const char* name;
-  const char* valueName;
-  const char* help;
-  std::function<bool(Args&, const char*)> apply;
-};
-
-const std::vector<OptionSpec>& optionTable() {
-  static const std::vector<OptionSpec> table = {
-      {"--manifest", "FILE", "sweep grid file (also accepted as the positional argument)",
-       [](Args& a, const char* v) { a.manifestPath = v; return true; }},
+/// The option table; --help and the docs/EXPLORE.md sync check
+/// (explore_cli_docs_in_sync) are generated from it. --unroll and
+/// --target-ns are sweep axes (lists), not the single-valued compile
+/// options; the budget and fault rows come from roccc/options.hpp.
+std::vector<roccc::cli::Option> optionTable(Args& a) {
+  namespace cli = roccc::cli;
+  std::vector<cli::Option> table = {
+      cli::text("--manifest", "FILE", "sweep grid file (also accepted as the positional argument)",
+                a.manifestPath),
       {"--table1", "LIST", "add Table 1 kernels by name, or 'all' for all nine",
-       [](Args& a, const char* v) {
-         std::stringstream ss(v);
-         std::string item;
-         while (std::getline(ss, item, ',')) {
-           if (!item.empty()) a.table1.push_back(item);
-         }
+       [&a](const char* v) {
+         for (std::string& name : cli::splitList(v)) a.table1.push_back(std::move(name));
          return !a.table1.empty();
        }},
       {"--kernel", "NAME=PATH", "add a kernel from a C file (repeatable)",
-       [](Args& a, const char* v) {
+       [&a](const char* v) {
          if (std::strchr(v, '=') == nullptr) return false;
          a.kernelSpecs.emplace_back(v);
          return true;
        }},
       {"--unroll", "LIST", "unroll-factor axis, comma-separated (overrides the grid file)",
-       [](Args& a, const char* v) { return parseIntList(v, a.unrolls, 1); }},
+       [&a](const char* v) { return cli::parseIntList(v, 1, a.unrolls); }},
       {"--target-ns", "LIST", "stage-delay-target axis in ns (0 = per-kernel default)",
-       [](Args& a, const char* v) { return parseDoubleList(v, a.targetNs); }},
+       [&a](const char* v) { return parseDoubleList(v, a.targetNs); }},
       {"--axes", "LIST", "Pareto axes: slices,fmax,cycles,energy,edp,throughput",
-       [](Args& a, const char* v) {
+       [&a](const char* v) {
          a.axes.clear();
          std::stringstream ss(v);
          std::string item;
@@ -144,119 +118,39 @@ const std::vector<OptionSpec>& optionTable() {
          return !a.axes.empty();
        }},
       {"--seed", "N", "stimulus seed for the FastSim metric run (overrides the grid file)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.seed = std::strtoull(v, &end, 0);
+       [&a](const char* v) {
          a.seedSet = true;
-         return end != v && *end == '\0';
+         return cli::parseUnsigned(v, a.seed);
        }},
-      {"--jobs", "N", "compile worker threads (0 = one per hardware thread)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.jobs = static_cast<int>(std::strtol(v, &end, 10));
-         return end != v && *end == '\0' && a.jobs >= 0;
-       }},
-      {"--cache", nullptr, "enable the content-addressed compile cache",
-       [](Args& a, const char*) { a.cacheEnabled = true; return true; }},
+      cli::integer("--jobs", "N", "compile worker threads (0 = one per hardware thread)", a.jobs,
+                   0),
+      cli::flag("--cache", "enable the content-addressed compile cache", a.cacheEnabled),
       {"--cache-dir", "DIR", "persistent on-disk cache tier in DIR (implies --cache)",
-       [](Args& a, const char* v) {
+       [&a](const char* v) {
          a.cacheEnabled = true;
          a.cacheDir = v;
          return true;
        }},
-      {"--json", "FILE", "write the sweep report as versioned JSON (roccc-sweep-v1)",
-       [](Args& a, const char* v) { a.jsonPath = v; return true; }},
-      {"--timings", nullptr, "include wall-time and cache accounting in the JSON report",
-       [](Args& a, const char*) { a.timings = true; return true; }},
-      {"--stats-json", "FILE", "write run accounting (workers, wall ms, cache hits) as JSON",
-       [](Args& a, const char* v) { a.statsJsonPath = v; return true; }},
-      {"--no-cycles", nullptr, "skip the FastSim run (area/timing-only sweep)",
-       [](Args& a, const char*) { a.noCycles = true; return true; }},
-      {"--verify-pareto", nullptr, "re-verify every frontier point: 5-way conformance + testbench",
-       [](Args& a, const char*) { a.verifyPareto = true; return true; }},
-      {"--timing-model", "FILE", "per-primitive delay/area/energy table (docs/SYNTHESIS.md format)",
-       [](Args& a, const char* v) { a.timingModelPath = v; return true; }},
-      {"--timeout-ms", "N", "per-point wall-clock deadline (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.base.budget.timeoutMs = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0';
-       }},
-      {"--max-ir-nodes", "N", "per-point cap on total live IR nodes (0 = none)",
-       [](Args& a, const char* v) {
-         char* end = nullptr;
-         a.base.budget.maxIrNodes = std::strtoll(v, &end, 10);
-         return end != v && *end == '\0' && a.base.budget.maxIrNodes >= 0;
-       }},
-      {"--inject-fault", "P", "arm fault point P in every compile (see faultPointRegistry)",
-       [](Args& a, const char* v) { a.base.injectFaultAt = v; return true; }},
-      {"--best-only", nullptr, "print only the best-config-per-kernel report",
-       [](Args& a, const char*) { a.bestOnly = true; return true; }},
-      {"--quiet", nullptr, "only errors and the one-line outcome summary",
-       [](Args& a, const char*) { a.quiet = true; return true; }},
-      {"--help", nullptr, "print this option list and exit",
-       [](Args& a, const char*) { a.showHelp = true; return true; }},
+      cli::text("--json", "FILE", "write the sweep report as versioned JSON (roccc-sweep-v1)",
+                a.jsonPath),
+      cli::flag("--timings", "include wall-time and cache accounting in the JSON report",
+                a.timings),
+      cli::text("--stats-json", "FILE",
+                "write run accounting (workers, wall ms, cache hits) as JSON", a.statsJsonPath),
+      cli::flag("--no-cycles", "skip the FastSim run (area/timing-only sweep)", a.noCycles),
+      cli::flag("--verify-pareto",
+                "re-verify every frontier point: 5-way conformance + testbench", a.verifyPareto),
+      cli::text("--timing-model", "FILE",
+                "per-primitive delay/area/energy table (docs/SYNTHESIS.md format)",
+                a.timingModelPath),
+      cli::flag("--best-only", "print only the best-config-per-kernel report", a.bestOnly),
+      cli::flag("--quiet", "only errors and the one-line outcome summary", a.quiet),
+      cli::flag("--help", "print this option list and exit", a.showHelp),
   };
+  for (const char* flag : {"--timeout-ms", "--max-ir-nodes", "--inject-fault"}) {
+    table.push_back(roccc::cliOption(*roccc::findOptionByFlag(flag), a.base));
+  }
   return table;
-}
-
-void printHelp(const char* argv0) {
-  std::printf("usage: %s [options] [grid.sweep]\n\n"
-              "Expands a sweep grid (kernels x unroll x compile options x buffer geometry),\n"
-              "compiles every point as a batch, and reports the per-kernel Pareto frontier.\n"
-              "docs/EXPLORE.md is the full reference, bench/sweeps/ the stock grids.\n\noptions:\n",
-              argv0);
-  for (const auto& s : optionTable()) {
-    std::string left = s.name;
-    if (s.valueName) {
-      left += ' ';
-      left += s.valueName;
-    }
-    std::printf("  %-22s %s\n", left.c_str(), s.help);
-  }
-  std::printf("\nexit codes: 0 ok, 1 failed points in the report, 2 usage/grid error,\n"
-              "            3 Pareto point failed conformance\n");
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.empty() || arg[0] != '-') {
-      if (!a.manifestPath.empty()) return false;
-      a.manifestPath = arg;
-      continue;
-    }
-    std::string inlineValue;
-    bool hasInlineValue = false;
-    const size_t eq = arg.find('=');
-    if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
-      inlineValue = arg.substr(eq + 1);
-      arg.resize(eq);
-      hasInlineValue = true;
-    }
-    const OptionSpec* spec = nullptr;
-    for (const auto& s : optionTable()) {
-      if (arg == s.name) {
-        spec = &s;
-        break;
-      }
-    }
-    if (!spec) return false;
-    const char* value = nullptr;
-    if (spec->valueName) {
-      if (hasInlineValue) {
-        value = inlineValue.c_str();
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        return false;
-      }
-    } else if (hasInlineValue) {
-      return false;
-    }
-    if (!spec->apply(a, value)) return false;
-  }
-  return a.showHelp || !a.manifestPath.empty() || !a.table1.empty() || !a.kernelSpecs.empty();
 }
 
 bool readFile(const std::string& path, std::string& out) {
@@ -304,11 +198,27 @@ bool addTable1Kernels(const std::vector<std::string>& names, bool all,
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage(argv[0]);
+  const std::vector<roccc::cli::Option> table = optionTable(a);
+  // The grid file may also be the (single) positional argument.
+  const auto setManifest = [&a](const char* path) {
+    if (!a.manifestPath.empty()) return false;
+    a.manifestPath = path;
+    return true;
+  };
+  if (!roccc::cli::parse(argc, argv, table, setManifest)) return usage(argv[0]);
   if (a.showHelp) {
-    printHelp(argv[0]);
+    std::printf("usage: %s [options] [grid.sweep]\n\n"
+                "Expands a sweep grid (kernels x unroll x compile options x buffer geometry),\n"
+                "compiles every point as a batch, and reports the per-kernel Pareto frontier.\n"
+                "docs/EXPLORE.md is the full reference, bench/sweeps/ the stock grids.\n\n"
+                "options:\n",
+                argv[0]);
+    roccc::cli::printOptions(table);
+    std::printf("\nexit codes: 0 ok, 1 failed points in the report, 2 usage/grid error,\n"
+                "            3 Pareto point failed conformance\n");
     return 0;
   }
+  if (a.manifestPath.empty() && a.table1.empty() && a.kernelSpecs.empty()) return usage(argv[0]);
 
   // ROCCC_FAULT_INJECT: the environment spelling of --inject-fault (the
   // explicit flag wins), same contract as roccc-cc.
@@ -317,14 +227,10 @@ int main(int argc, char** argv) {
   }
 
   if (!a.timingModelPath.empty()) {
-    if (!readFile(a.timingModelPath, a.base.timingModelSpec)) {
-      std::fprintf(stderr, "error: cannot open timing model '%s'\n", a.timingModelPath.c_str());
-      return 2;
-    }
     roccc::synth::TimingModel model;
-    std::string tmError;
-    if (!roccc::synth::TimingModel::parse(a.base.timingModelSpec, model, tmError)) {
-      std::fprintf(stderr, "error: %s: %s\n", a.timingModelPath.c_str(), tmError.c_str());
+    std::string error;
+    if (!roccc::loadTimingModel(a.timingModelPath, a.base.timingModelSpec, model, error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
       return 2;
     }
   }

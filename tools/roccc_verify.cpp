@@ -37,8 +37,6 @@
 // poisoning); 2 usage; 3 compile failure(s) with no disagreement.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -47,6 +45,7 @@
 
 #include "../bench/kernels.hpp"
 #include "roccc/verify.hpp"
+#include "support/cli.hpp"
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
 
@@ -66,35 +65,13 @@ struct Args {
 
 int usage() {
   std::fprintf(stderr, "usage: roccc-verify [options] [kernel.c ...]\n"
-                       "       roccc-verify --help for the option list\n");
+                       "       roccc-verify --help for the option list (docs/CLI.md)\n");
   return 2;
 }
 
-void printHelp() {
-  std::printf(
-      "usage: roccc-verify [options] [kernel.c ...]\n\n"
-      "Differential conformance: every kernel is compiled and executed by up to five\n"
-      "independent engines (interp, mir-exec, dp-eval, netlist-ref, fastsim) on the\n"
-      "same deterministic stimulus; any disagreement is a minimized counterexample.\n\n"
-      "options:\n"
-      "  --table1            add the nine Table 1 kernels\n"
-      "  --corpus DIR        add every .c kernel in DIR (sorted)\n"
-      "  --unroll LIST       comma-separated unroll factors (default \"1\")\n"
-      "  --seed N            stimulus seed (default 0x0dc52005)\n"
-      "  --jobs N            compile workers (0 = one per hardware thread)\n"
-      "  --engines LIST      comma list of engines (default: all five)\n"
-      "  --testbench-check   also replay each generated system testbench\n"
-      "  --soak N            fault-injection soak rounds (sibling isolation)\n"
-      "  --json FILE         write the full JSON report\n"
-      "  --quiet             only the summary and any disagreements\n\n"
-      "exit codes: 0 agree, 1 disagreement, 2 usage, 3 compile failure\n");
-}
-
-bool parseEngines(const std::string& list, unsigned& mask) {
+bool parseEngines(const char* list, unsigned& mask) {
   mask = 0;
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  for (const std::string& item : roccc::cli::splitList(list)) {
     bool found = false;
     for (int e = 0; e < roccc::kVerifyEngineCount; ++e) {
       if (item == roccc::verifyEngineName(static_cast<roccc::VerifyEngine>(e))) {
@@ -111,65 +88,29 @@ bool parseEngines(const std::string& list, unsigned& mask) {
   return mask != 0;
 }
 
-bool parseUnrolls(const std::string& list, std::vector<int>& out) {
-  out.clear();
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int u = std::atoi(item.c_str());
-    if (u < 1) return false;
-    out.push_back(u);
-  }
-  return !out.empty();
-}
-
-bool parseArgs(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg.empty() || arg[0] != '-') {
-      a.inputs.push_back(arg);
-    } else if (arg == "--help") {
-      a.showHelp = true;
-    } else if (arg == "--table1") {
-      a.table1 = true;
-    } else if (arg == "--corpus") {
-      const char* v = value();
-      if (!v) return false;
-      a.corpusDir = v;
-    } else if (arg == "--unroll") {
-      const char* v = value();
-      if (!v || !parseUnrolls(v, a.unrolls)) return false;
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) return false;
-      a.verify.seed = std::strtoull(v, nullptr, 0);
-    } else if (arg == "--jobs") {
-      const char* v = value();
-      if (!v) return false;
-      a.verify.workers = std::atoi(v);
-    } else if (arg == "--engines") {
-      const char* v = value();
-      if (!v || !parseEngines(v, a.verify.engineMask)) return false;
-    } else if (arg == "--testbench-check") {
-      a.verify.checkTestbench = true;
-    } else if (arg == "--soak") {
-      const char* v = value();
-      if (!v) return false;
-      a.soakRounds = std::atoi(v);
-      if (a.soakRounds < 1) return false;
-    } else if (arg == "--json") {
-      const char* v = value();
-      if (!v) return false;
-      a.jsonPath = v;
-    } else if (arg == "--quiet") {
-      a.quiet = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
+/// The option table; --help and the docs/CLI.md sync check
+/// (verify_cli_docs_in_sync) are generated from it.
+std::vector<roccc::cli::Option> optionTable(Args& a) {
+  namespace cli = roccc::cli;
+  return {
+      cli::flag("--table1", "add the nine Table 1 kernels", a.table1),
+      cli::text("--corpus", "DIR", "add every .c kernel in DIR (sorted)", a.corpusDir),
+      {"--unroll", "LIST", "comma-separated unroll factors (default \"1\")",
+       [&a](const char* v) { return cli::parseIntList(v, 1, a.unrolls); }},
+      {"--seed", "N", "stimulus seed (default 0x0dc52005)",
+       [&a](const char* v) { return cli::parseUnsigned(v, a.verify.seed); }},
+      cli::integer("--jobs", "N", "compile workers (0 = one per hardware thread)",
+                   a.verify.workers, 0),
+      {"--engines", "LIST", "comma list of engines (default: all five)",
+       [&a](const char* v) { return parseEngines(v, a.verify.engineMask); }},
+      cli::flag("--testbench-check", "also replay each generated system testbench",
+                a.verify.checkTestbench),
+      cli::integer("--soak", "N", "fault-injection soak rounds (sibling isolation)", a.soakRounds,
+                   1),
+      cli::text("--json", "FILE", "write the full JSON report", a.jsonPath),
+      cli::flag("--quiet", "only the summary and any disagreements", a.quiet),
+      cli::flag("--help", "print this option list and exit", a.showHelp),
+  };
 }
 
 bool collectJobs(const Args& a, std::vector<roccc::CompileJob>& jobs) {
@@ -294,9 +235,21 @@ int runSoak(const std::vector<roccc::CompileJob>& jobs, const roccc::VerifyOptio
 
 int main(int argc, char** argv) {
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage();
+  const std::vector<roccc::cli::Option> table = optionTable(a);
+  const auto addInput = [&a](const char* path) {
+    a.inputs.emplace_back(path);
+    return true;
+  };
+  if (!roccc::cli::parse(argc, argv, table, addInput)) return usage();
   if (a.showHelp) {
-    printHelp();
+    std::printf(
+        "usage: roccc-verify [options] [kernel.c ...]\n\n"
+        "Differential conformance: every kernel is compiled and executed by up to five\n"
+        "independent engines (interp, mir-exec, dp-eval, netlist-ref, fastsim) on the\n"
+        "same deterministic stimulus; any disagreement is a minimized counterexample.\n\n"
+        "options:\n");
+    roccc::cli::printOptions(table);
+    std::printf("\nexit codes: 0 agree, 1 disagreement, 2 usage, 3 compile failure\n");
     return 0;
   }
   std::vector<roccc::CompileJob> jobs;
