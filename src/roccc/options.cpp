@@ -239,12 +239,7 @@ bool parseOptionJson(const OptionField& f, const json::Value& v, CompileOptions&
           if (!v.isString()) return false;
           *p = v.asString();
         } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
-          if (!v.isArray()) return false;
-          p->clear();
-          for (const json::Value& item : v.items()) {
-            if (!item.isString()) return false;
-            p->push_back(item.asString());
-          }
+          return false; // no protocol key carries a list
         } else if constexpr (std::is_enum_v<T>) {
           const int i = v.isString() ? enumIndex(f, v.asString()) : -1;
           if (i < 0) return false;

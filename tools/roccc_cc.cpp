@@ -14,83 +14,18 @@
 // bytes, pass counters and diagnostics per file are identical for any
 // worker count.
 //
-// Options:
-//   -o FILE            output VHDL path (default: <input>.vhd)
-//   --kernel NAME      kernel function (default: last function in the file)
-//   --unroll N         partially unroll the streaming loop by N
-//   --target-ns X      pipeline stage delay target (default 4.0); the
-//                      retime pass rebalances register placement against it
-//   --timing-model FILE
-//                      load a per-primitive delay/area/energy table
-//                      overriding the built-in Virtex-II-class model (see
-//                      docs/SYNTHESIS.md for the file format)
-//   --no-retime        keep the fixed greedy staging (disable the
-//                      timing-driven retime pass; ablation knob)
-//   --mult-style S     'lut' (default) or 'mult18'
-//   --no-infer         disable bit-width inference
-//   --no-pipeline      single combinational stage
-//   --testbench        also write <output>_tb.vhd: a system-level
-//                      self-checking testbench whose stimulus and expected
-//                      outputs come from the AST interpreter over the
-//                      kernel's full iteration space (deterministic), and
-//                      which is cross-checked against the --sim-engine
-//                      netlist engine before it is written
-//   --tb-seed N        with --testbench: append 16 seeded random extra
-//                      vectors (SplitMix64 seed N, recorded in the
-//                      testbench header comment)
-//   --cosim            run the cycle-accurate system on random inputs and
-//                      verify against the interpreter
-//   --sim-engine E     netlist engine for --cosim and the --testbench
-//                      cross-check: 'fast' (compiled, default) or 'ref'
-//                      (boxed-Value reference)
-//   --vcd FILE         with --cosim: dump a VCD waveform of the run
-//   --verilog FILE     also write the Verilog form of the design
-//   --json FILE        export the data-path graph as JSON (Fig 1's graph
-//                      editor / annotation interface)
-//   --dump-datapath    print the data-path op listing
-//   --dump-mir         print the back-end IR
-//   --time-passes      print the per-pass timing/counter table
-//   --stats-json FILE  write per-pass statistics as JSON (machine-readable
-//                      pipeline report)
-//   --verify-each      run the layer verifier (MIR/RTL/VHDL) after every
-//                      pipeline pass
-//   --print-after-all  dump the IR after every pass (stderr)
-//   --print-after P    dump the IR after pass P (repeatable; also
-//                      --print-after=P)
-//   --jobs N           batch mode: compile inputs on N worker threads
-//                      (0 = one per hardware thread)
-//   --manifest FILE    read additional input paths from FILE (one per
-//                      line; blank lines and #-comments skipped)
-//   --cache            batch mode: enable the content-addressed compile
-//                      cache (roccc::CompileCache); identical jobs are
-//                      served from memory / single-flighted
-//   --cache-dir DIR    persistent on-disk cache tier in DIR, surviving
-//                      across invocations (implies --cache)
-//   --cache-bytes N    in-memory cache byte budget (default 256 MiB;
-//                      implies --cache)
-//   --quiet            only errors (suppresses reports and pass timing)
-//   --timeout-ms N     per-job wall-clock deadline (0 = none; negative =
-//                      already expired, for deterministic timeout tests)
-//   --max-ir-nodes N   per-job cap on total live IR nodes (0 = none)
-//   --max-unroll-product N
-//                      cap on the product of all unroll expansions (0 = none)
-//   --max-depth N      parser recursion / nesting depth cap (default 256,
-//                      0 = none)
-//   --inject-fault P   arm fault point P (see faultPointRegistry); the env
-//                      var ROCCC_FAULT_INJECT is the equivalent switch for
-//                      harnesses that cannot edit the command line
+// The options are listed by --help, generated from the option table
+// below (compile options come from roccc/options.hpp); docs/CLI.md is the
+// full reference, kept in sync with --help by a CI test. Every --opt VALUE
+// option also accepts the --opt=VALUE spelling.
 //
 // Exit codes classify the outcome: 0 ok, 1 frontend error (bad input),
 // 2 usage, 3 timeout, 4 resource budget exceeded, 5 internal error. In
 // batch mode the summary line reports per-outcome counts and the exit code
 // is the first failing job's.
-//
-// Every --opt VALUE option also accepts the --opt=VALUE spelling.
-// docs/CLI.md is the full flag reference; a CI test keeps it in sync with
-// the --help output generated from the option table below.
 #include <cstdio>
-#include <cstdlib>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <random>
 #include <sstream>

@@ -9,34 +9,15 @@
 // compile cache is shared by every client and, with --cache-dir, by every
 // daemon generation.
 //
-// Options:
-//   --socket PATH        socket path to bind (default: roccc-ccd.sock)
-//   --jobs N             compile workers (0 = one per hardware thread)
-//   --queue N            admission window: max in-flight jobs (default 256)
-//   --max-client-jobs N  per-connection job quota (default 64)
-//   --max-request-bytes N
-//                        per-request frame cap in bytes (default 8 MiB)
-//   --cache              enable the shared compile cache
-//   --cache-dir DIR      persistent on-disk cache tier (implies --cache)
-//   --cache-bytes N      in-memory cache byte budget (implies --cache)
-//   --timeout-ms N       ceiling on per-job wall-clock budgets (0 = none)
-//   --max-ir-nodes N     ceiling on per-job IR-node budgets (0 = none)
-//   --max-unroll-product N
-//                        ceiling on per-job unroll-product budgets
-//   --max-depth N        ceiling on per-job nesting-depth budgets
-//   --target-ns X        server default pipeline stage delay target
-//   --timing-model FILE  server default timing model table
-//   --quiet              suppress lifecycle log lines
+// The options are listed by --help, generated from the option table
+// below; docs/CLI.md is the full reference, kept in sync with --help by a
+// CI test. Every --opt VALUE option also accepts the --opt=VALUE spelling.
 //
 // Exit codes: 0 clean drain/stop, 1 startup failure, 2 usage.
-//
-// Every --opt VALUE option also accepts the --opt=VALUE spelling.
-// docs/CLI.md is the full flag reference; a CI test keeps it in sync with
-// the --help output generated from the option table below.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 

@@ -9,40 +9,15 @@
 // inputs send one `batch` request and write one .vhd each — the daemon
 // guarantees the bytes match a local roccc-cc run of the same job.
 //
-// Options:
-//   --socket PATH      daemon socket (default: roccc-ccd.sock)
-//   -o FILE            output VHDL path (single input only)
-//   --kernel NAME      kernel function (default: last function in the file)
-//   --unroll N         partially unroll the streaming loop by N
-//   --target-ns X      pipeline stage delay target
-//   --no-retime        disable the timing-driven retime pass
-//   --mult-style S     'lut' or 'mult18'
-//   --no-infer         disable bit-width inference
-//   --no-pipeline      single combinational stage
-//   --verilog FILE     also request and write the Verilog form (single input)
-//   --timeout-ms N     per-job deadline (clamped to the server ceiling)
-//   --max-ir-nodes N   per-job IR-node cap (clamped to the server ceiling)
-//   --max-unroll-product N
-//                      unroll-product cap (clamped to the server ceiling)
-//   --max-depth N      nesting depth cap (clamped to the server ceiling)
-//   --inject-fault P   arm fault point P in the daemon-side job
-//   --status           print the daemon status response
-//   --metrics          print the live metrics response
-//   --ping             liveness check
-//   --reload           rebuild the daemon's cache over its directory
-//   --drain M          drain the daemon: 'stop', 'pause' or 'resume'
-//   --json             print raw JSON responses instead of writing files
-//   --quiet            only errors
+// The options are listed by --help, generated from the option table
+// below; docs/CLI.md is the full reference, kept in sync with --help by a
+// CI test. Every --opt VALUE option also accepts the --opt=VALUE spelling.
 //
 // Exit codes: the roccc-cc outcome codes (0 ok, 1 frontend error, 2 usage,
 // 3 timeout, 4 resource budget exceeded, 5 internal error) plus two
 // service-edge codes: 6 transport/protocol failure (cannot connect, bad
 // frame), 7 request rejected by the daemon (queue-full, draining,
 // quota-exceeded, bad-request, ...).
-//
-// Every --opt VALUE option also accepts the --opt=VALUE spelling.
-// docs/CLI.md is the full flag reference; a CI test keeps it in sync with
-// the --help output generated from the option table below.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>

@@ -17,21 +17,9 @@
 // diverging vector index, engine and port — and, when the two netlist
 // engines diverge from each other, the first diverging net and cycle.
 //
-// Options:
-//   --table1            add the nine Table 1 kernels
-//   --corpus DIR        add every .c kernel in DIR (sorted)
-//   --unroll LIST       comma-separated unroll factors (default "1")
-//   --seed N            stimulus seed (default 0x0dc52005)
-//   --jobs N            compile workers (0 = one per hardware thread)
-//   --engines LIST      comma list of engines to run (default: all five)
-//   --testbench-check   also generate each kernel's system-level testbench
-//                       and replay it under both netlist engines
-//   --soak N            fault-injection soak: N rounds re-running the batch
-//                       with one armed fault point per round, asserting the
-//                       sibling verdicts stay identical to the clean run
-//   --json FILE         write the full JSON report (the CI disagreement
-//                       artifact)
-//   --quiet             only the summary and any disagreements
+// The options are listed by --help, generated from the option table
+// below; docs/CLI.md is the full reference, kept in sync with --help by a
+// CI test. Every --opt VALUE option also accepts the --opt=VALUE spelling.
 //
 // Exit codes: 0 all engines agree on every kernel; 1 disagreement (or soak
 // poisoning); 2 usage; 3 compile failure(s) with no disagreement.
