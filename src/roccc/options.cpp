@@ -181,8 +181,7 @@ void appendOptionKey(const OptionField& f, const CompileOptions& options, std::s
         } else if constexpr (std::is_same_v<T, std::string>) {
           appendSized(out, *p);
         } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
-          appendInt(out, p->size());
-          for (const std::string& s : *p) appendSized(out, s);
+          // Only presentation rows are lists; none is keyed.
         } else if constexpr (std::is_enum_v<T>) {
           appendInt(out, static_cast<int>(*p));
         } else {

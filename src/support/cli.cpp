@@ -105,9 +105,7 @@ bool parseUnsigned(const char* s, uint64_t& out) {
 
 bool parseIntList(const char* s, int min, std::vector<int>& out) {
   out.clear();
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
+  for (const std::string& item : splitList(s)) {
     int64_t n = 0;
     if (!parseInt(item.c_str(), min, std::numeric_limits<int>::max(), n)) return false;
     out.push_back(static_cast<int>(n));
@@ -119,9 +117,7 @@ std::vector<std::string> splitList(const char* s) {
   std::vector<std::string> items;
   std::stringstream ss(s);
   std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) items.push_back(item);
-  }
+  while (std::getline(ss, item, ',')) items.push_back(item);
   return items;
 }
 

@@ -39,7 +39,7 @@ bool parseDouble(const char* s, double& out);
 bool parseUnsigned(const char* s, uint64_t& out);
 /// A comma-separated list of integers, each >= min; at least one.
 bool parseIntList(const char* s, int min, std::vector<int>& out);
-/// Splits a comma-separated list, dropping empty items.
+/// Splits a comma-separated list (an empty item stays, to be rejected).
 std::vector<std::string> splitList(const char* s);
 
 // Row builders for the common shapes.

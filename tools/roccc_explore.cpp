@@ -92,7 +92,9 @@ std::vector<roccc::cli::Option> optionTable(Args& a) {
                 a.manifestPath),
       {"--table1", "LIST", "add Table 1 kernels by name, or 'all' for all nine",
        [&a](const char* v) {
-         for (std::string& name : cli::splitList(v)) a.table1.push_back(std::move(name));
+         for (std::string& name : cli::splitList(v)) {
+           if (!name.empty()) a.table1.push_back(std::move(name));
+         }
          return !a.table1.empty();
        }},
       {"--kernel", "NAME=PATH", "add a kernel from a C file (repeatable)",
@@ -108,9 +110,7 @@ std::vector<roccc::cli::Option> optionTable(Args& a) {
       {"--axes", "LIST", "Pareto axes: slices,fmax,cycles,energy,edp,throughput",
        [&a](const char* v) {
          a.axes.clear();
-         std::stringstream ss(v);
-         std::string item;
-         while (std::getline(ss, item, ',')) {
+         for (const std::string& item : cli::splitList(v)) {
            roccc::SweepAxis axis;
            if (!roccc::parseSweepAxis(item, axis)) return false;
            a.axes.push_back(axis);
