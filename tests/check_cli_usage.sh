@@ -33,11 +33,13 @@ void k(const int8 A[16], int16 C[12]) {
 EOF
 
 failures=0
-# expect CODE TOOL ARGS... — runs the tool and checks its exit code.
+# expect CODE TOOL ARGS... — runs the tool and checks its exit code. A tool
+# that accepts a bad command line may start real work (roccc-ccd would
+# serve forever), so each run is bounded.
 expect() {
   want="$1"
   shift
-  "$@" > "$tmp/out" 2>&1
+  timeout 60 "$@" > "$tmp/out" 2>&1
   got=$?
   if [ "$got" -ne "$want" ]; then
     echo "FAIL: exit $got, want $want: $*" >&2
@@ -62,7 +64,7 @@ expect 3 "$CC" "$tmp/k.c" --timeout-ms=-1 -o "$tmp/k.vhd" --quiet
 for bad in "--target-ns abc" "--jobs x" "--queue 0" "--timeout-ms -1" "--max-depth 1x" \
            "--unroll 2" "--bogus" "stray"; do
   # shellcheck disable=SC2086
-  expect 2 "$CCD" --quiet $bad
+  expect 2 "$CCD" --socket "$tmp/bad.sock" --quiet $bad
 done
 
 # roccc-client: rejected locally, before it connects.
