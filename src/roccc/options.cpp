@@ -117,12 +117,6 @@ void appendInt(std::string& out, T v) {
   out.append(buf, r.ptr);
 }
 
-void appendSized(std::string& out, const std::string& s) {
-  appendInt(out, s.size());
-  out += ':';
-  out += s;
-}
-
 /// The index of `name` in the row's enum names, or -1.
 int enumIndex(const OptionField& f, std::string_view name) {
   for (size_t i = 0; i < f.names.size(); ++i) {
@@ -170,7 +164,8 @@ const OptionField* findOptionByFlag(std::string_view flag) {
 void appendOptionKey(const OptionField& f, const CompileOptions& options, std::string& out) {
   out += f.key;
   out += '=';
-  // The accessor only reads here.
+  // The const_cast only lets the accessor take the field's address; the
+  // visitor reads it.
   std::visit(
       [&](auto* p) {
         using T = std::remove_pointer_t<decltype(p)>;
@@ -179,7 +174,9 @@ void appendOptionKey(const OptionField& f, const CompileOptions& options, std::s
         } else if constexpr (std::is_same_v<T, double>) {
           out += doubleBits(*p);
         } else if constexpr (std::is_same_v<T, std::string>) {
-          appendSized(out, *p);
+          appendInt(out, p->size());
+          out += ':';
+          out += *p;
         } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
           // Only presentation rows are lists; none is keyed.
         } else if constexpr (std::is_enum_v<T>) {
