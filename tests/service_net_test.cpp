@@ -417,6 +417,29 @@ TEST(ServiceNetCompile, DaemonBytesMatchLocalCompile) {
   EXPECT_EQ(fieldString(resp, "sha256"), sha256Hex(ref.vhdl));
 }
 
+TEST(ServiceNetCompile, VerilogReplyIsPinned) {
+  // The Verilog text a `"verilog": true` request gets back, pinned by
+  // digest; a request without the key gets no `verilog` field at all.
+  Harness h("verilog_pin");
+  h.cfg.workers = 1;
+  h.start();
+  auto client = h.connect();
+
+  Value resp;
+  std::string error;
+  Value options = Value::object();
+  options.set("verilog", Value::boolean(true));
+  ASSERT_TRUE(client->request(makeCompileRequest("k.c", kSmallKernel, options), resp, error))
+      << error;
+  ASSERT_EQ(fieldString(resp, "status"), "ok");
+  EXPECT_EQ(sha256Hex(fieldString(resp, "verilog")),
+            "d62674195cb266d121e89c9064ea831ede1a08da07bc34e3f1c25faba6aa248c");
+
+  ASSERT_TRUE(client->request(makeCompileRequest("k.c", kSmallKernel, {}), resp, error)) << error;
+  ASSERT_EQ(fieldString(resp, "status"), "ok");
+  EXPECT_EQ(resp.find("verilog"), nullptr);
+}
+
 TEST(ServiceNetCompile, FrontendErrorIsATypedRowNotARejection) {
   Harness h("compile_frontend");
   h.cfg.workers = 1;
