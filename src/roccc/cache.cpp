@@ -19,7 +19,8 @@ namespace roccc {
 // Bump on any change to code generation, key derivation, or the entry
 // serialization below. Old tier-2 stores then read as silent misses.
 // v3: every entry serializes a `derived` blob.
-const char* const kCacheSchema = "roccc-cache-v3";
+// v4: the keyed emitVerilog option; entries carry Verilog only when asked.
+const char* const kCacheSchema = "roccc-cache-v4";
 
 // --- key derivation ----------------------------------------------------------
 

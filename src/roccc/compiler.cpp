@@ -256,11 +256,14 @@ PassManager Compiler::buildPipeline() const {
                 st.add("bytes", static_cast<int64_t>(ctx.result.vhdl.size()));
                 return true;
               }});
-  pm.addPass({"emit-verilog", PassLayer::Vhdl, [](PassContext& ctx, PassStatistics& st) {
-                ctx.result.verilog = verilog::emitDesign(ctx.result.datapath, ctx.result.kernel);
-                st.add("bytes", static_cast<int64_t>(ctx.result.verilog.size()));
-                return true;
-              }});
+  Pass verilogPass{"emit-verilog", PassLayer::Vhdl, [](PassContext& ctx, PassStatistics& st) {
+                     ctx.result.verilog =
+                         verilog::emitDesign(ctx.result.datapath, ctx.result.kernel);
+                     st.add("bytes", static_cast<int64_t>(ctx.result.verilog.size()));
+                     return true;
+                   }};
+  verilogPass.enabled = opts.emitVerilog;
+  pm.addPass(std::move(verilogPass));
   return pm;
 }
 

@@ -76,6 +76,10 @@ struct CompileOptions {
   /// its path, so a compile stays a pure function of (source, options) —
   /// the cache-key contract). Empty = the built-in Virtex-II-class table.
   std::string timingModelSpec;
+  /// Also emit the Verilog form (CompileResult::verilog, a library
+  /// extension). Off = the `emit-verilog` pass is skipped and `verilog`
+  /// stays empty.
+  bool emitVerilog = false;
   /// Pipeline instrumentation: verify-each, print-after snapshots.
   PipelineOptions pipeline;
   /// Per-job resource budget (deadline, IR-node cap, unroll-product cap,
@@ -105,7 +109,7 @@ struct CompileResult {
   dp::RetimeReport retiming;
   rtl::Module module;
   std::string vhdl; ///< generated RTL VHDL (all entities)
-  std::string verilog; ///< generated Verilog (library extension)
+  std::string verilog; ///< generated Verilog when options.emitVerilog, else empty
   /// One typed record per pipeline pass (name, layer, wall time, change
   /// counters, optional IR snapshot) — see roccc/pipeline.hpp.
   std::vector<PassStatistics> passLog;
@@ -120,8 +124,8 @@ class Compiler {
 
   /// The declared pass sequence compileSource runs: parse, the HLIR loop
   /// transforms, kernel extraction, MIR lowering/SSA/optimization,
-  /// data-path construction, RTL build (always verified), and VHDL /
-  /// Verilog emission. Exposed so tools and tests can inspect, reorder, or
+  /// data-path construction, RTL build (always verified), VHDL emission and
+  /// (with emitVerilog) Verilog emission. Exposed so tools and tests can inspect, reorder, or
   /// extend the pipeline.
   PassManager buildPipeline() const;
 

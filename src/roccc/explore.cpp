@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <unordered_set>
 
 #include "roccc/cache.hpp"
 #include "rtl/system.hpp"
+#include "support/cli.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
@@ -83,6 +85,13 @@ bool parseSweepAxis(const std::string& name, SweepAxis& out) {
     }
   }
   return false;
+}
+
+bool parseTargetNsValue(const std::string& text, double& out) {
+  double d = 0;
+  if (!cli::parseDouble(text.c_str(), d) || !std::isfinite(d) || d < 0 || d > 1e6) return false;
+  out = d;
+  return true;
 }
 
 bool sweepAxisMaximizes(SweepAxis axis) {
@@ -317,11 +326,8 @@ bool parseSweepManifest(const std::string& text, SweepManifest& out, std::string
       if (!needValues()) return fail("directive 'target-ns' needs at least one value");
       out.grid.targetNs.clear();
       for (const auto& v : values) {
-        char* end = nullptr;
-        const double d = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0' || d < 0 || d > 1e6) {
-          return fail(fmt("invalid target-ns value '%0'", v));
-        }
+        double d = 0;
+        if (!parseTargetNsValue(v, d)) return fail(fmt("invalid target-ns value '%0'", v));
         out.grid.targetNs.push_back(d);
       }
     } else if (directive == "retime" || directive == "pipeline" || directive == "optimize" ||

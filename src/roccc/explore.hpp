@@ -164,6 +164,11 @@ struct SweepManifest {
 /// ("line 7: unknown directive 'unrol'").
 bool parseSweepManifest(const std::string& text, SweepManifest& out, std::string& error);
 
+/// One value of the target-ns axis (grid file and roccc-explore
+/// --target-ns): a finite number of ns in [0, 1e6], where 0 stands for the
+/// kernel's default target.
+bool parseTargetNsValue(const std::string& text, double& out);
+
 // --- metrics and Pareto ------------------------------------------------------
 
 /// The Pareto axes a frontier can be computed over. FmaxMHz and Throughput

@@ -1,6 +1,7 @@
 #include "roccc/options.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -41,7 +42,7 @@ constexpr OptionField kFields[] = {
     {"optimize", true, nullptr, nullptr, "optimize", "run the circuit-level scalar optimizations",
      kAny, {}, [](CompileOptions& o) -> OptionRef { return &o.optimize; }},
     {"dp.targetStageDelayNs", true, "--target-ns", "X", "targetNs",
-     "pipeline stage delay target in ns (default 4.0); retime balances to it", kAny, {},
+     "pipeline stage delay target in ns (default 4.0); retime balances to it", 0, {},
      [](CompileOptions& o) -> OptionRef { return &o.dpOptions.targetStageDelayNs; }},
     {"dp.pipeline", true, "--no-pipeline", nullptr, "pipeline",
      "single combinational stage (no pipelining)", kAny, {},
@@ -89,6 +90,11 @@ constexpr OptionField kFields[] = {
     // it from --timing-model FILE (loadTimingModel).
     {"timingModelSpec", true, nullptr, nullptr, nullptr, "timing model table text", kAny, {},
      [](CompileOptions& o) -> OptionRef { return &o.timingModelSpec; }},
+    // Emission, not presentation: an entry built without Verilog carries
+    // no Verilog text, so it must never answer a request that wants it.
+    // roccc-cc's --verilog FILE sets it.
+    {"emitVerilog", true, nullptr, nullptr, "verilog", "also emit the Verilog form of the design",
+     kAny, {}, [](CompileOptions& o) -> OptionRef { return &o.emitVerilog; }},
     // Presentation: IR-snapshot requests; snapshots are never cached.
     {"pipeline.printAfterAll", false, "--print-after-all", nullptr, nullptr,
      "dump the IR after every pass (stderr)", kAny, {},
@@ -103,18 +109,25 @@ constexpr OptionField kFields[] = {
 // row above (and the counts are updated).
 [[maybe_unused]] void checkEveryFieldHasARow(CompileOptions& o) {
   [[maybe_unused]] auto& [kernel, unroll, autoUnroll, fullUnroll, maxTrip, luts, lutBits,
-                          optimize, dp, retime, timingModel, pipeline, budget, fault] = o;
+                          optimize, dp, retime, timingModel, verilog, pipeline, budget,
+                          fault] = o;
   [[maybe_unused]] auto& [target, pipe, infer, widthMode, multStyle, dividers] = o.dpOptions;
   [[maybe_unused]] auto& [verifyEach, printAfterAll, printAfter] = o.pipeline;
   [[maybe_unused]] auto& [timeoutMs, maxIrNodes, maxUnrollProduct, maxDepth] = o.budget;
 }
-static_assert(std::size(kFields) == (14 - 3) + 6 + 3 + 4, "one row per leaf field");
+static_assert(std::size(kFields) == (15 - 3) + 6 + 3 + 4, "one row per leaf field");
 
 template <class T>
 void appendInt(std::string& out, T v) {
   char buf[24];
   const auto r = std::to_chars(buf, buf + sizeof buf, v);
   out.append(buf, r.ptr);
+}
+
+/// A double row's range: finite and above the row's minimum, unless the
+/// row takes any value.
+bool doubleInRange(const OptionField& f, double v) {
+  return f.min == kAny || (std::isfinite(v) && v > static_cast<double>(f.min));
 }
 
 /// The index of `name` in the row's enum names, or -1.
@@ -133,7 +146,7 @@ std::string jsonTypeText(const OptionField& f, const OptionRef& ref) {
         if constexpr (std::is_same_v<T, bool>) {
           return "a boolean";
         } else if constexpr (std::is_same_v<T, double>) {
-          return "a number";
+          return f.min == kAny ? "a number" : fmt("a finite number > %0", f.min);
         } else if constexpr (std::is_enum_v<T>) {
           std::string text;
           for (size_t i = 0; i < f.names.size(); ++i) {
@@ -197,7 +210,10 @@ bool parseOptionArg(const OptionField& f, const char* value, CompileOptions& opt
           *p = !std::string_view(f.flag).starts_with("--no-");
           return true;
         } else if constexpr (std::is_same_v<T, double>) {
-          return cli::parseDouble(value, *p);
+          double d = 0;
+          if (!cli::parseDouble(value, d) || !doubleInRange(f, d)) return false;
+          *p = d;
+          return true;
         } else if constexpr (std::is_same_v<T, std::string>) {
           *p = value;
           return true;
@@ -229,7 +245,7 @@ bool parseOptionJson(const OptionField& f, const json::Value& v, CompileOptions&
           if (!v.isBool()) return false;
           *p = v.asBool();
         } else if constexpr (std::is_same_v<T, double>) {
-          if (!v.isNumber()) return false;
+          if (!v.isNumber() || !doubleInRange(f, v.asDouble())) return false;
           *p = v.asDouble();
         } else if constexpr (std::is_same_v<T, std::string>) {
           if (!v.isString()) return false;

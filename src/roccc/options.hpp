@@ -40,7 +40,8 @@ struct OptionField {
   const char* valueName; ///< the flag's value in --help ("N"); null for bools
   const char* jsonKey;   ///< daemon protocol key, or null
   const char* help;      ///< one-line --help description
-  /// Integers: the smallest accepted value (CLI and JSON); INT64_MIN = any.
+  /// Integers: the smallest accepted value (CLI and JSON). Doubles: values
+  /// must be finite and greater than it. INT64_MIN = any value.
   int64_t min;
   /// Enums: the spelling of each value, in the enum's order.
   std::span<const char* const> names;

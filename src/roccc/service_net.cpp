@@ -214,11 +214,6 @@ bool compileOptionsFromJson(const json::Value& options, const CompileOptions& ba
   for (const auto& [key, v] : options.members()) {
     if (const auto it = byJsonKey.find(key); it != byJsonKey.end()) {
       if (!parseOptionJson(*it->second, v, out, error)) return false;
-    } else if (key == "verilog") {
-      // Presentation only (include Verilog text in the response); the
-      // caller reads it straight from the request. Type-checked here so
-      // a bad value is still a bad-request.
-      if (!v.isBool()) { error = "option 'verilog' must be a boolean"; return false; }
     } else {
       error = fmt("unknown option '%0'", key);
       return false;
@@ -482,7 +477,7 @@ struct ServiceDaemon::Impl {
   /// `batch-result` rows. `status` is the outcome name for compiled jobs
   /// (the service edge extends the same taxonomy with rejection codes).
   void fillResultFields(json::Value& row, const std::string& name, const CompileResult& r,
-                        bool cached, double serviceMs, bool wantVerilog) {
+                        bool cached, double serviceMs) {
     row.set("name", json::Value::string(name));
     row.set("status", json::Value::string(compileOutcomeName(r.outcome)));
     row.set("cached", json::Value::boolean(cached));
@@ -491,7 +486,8 @@ struct ServiceDaemon::Impl {
     if (r.ok) {
       row.set("vhdl", json::Value::string(r.vhdl));
       row.set("sha256", json::Value::string(sha256Hex(r.vhdl)));
-      if (wantVerilog) row.set("verilog", json::Value::string(r.verilog));
+      // Non-empty exactly when the job asked for it (option `verilog`).
+      if (!r.verilog.empty()) row.set("verilog", json::Value::string(r.verilog));
     }
     json::Value diags = json::Value::array();
     for (const auto& d : r.diags.all()) diags.push(json::Value::string(d.str()));
@@ -501,8 +497,7 @@ struct ServiceDaemon::Impl {
   // --- request handlers ----------------------------------------------------
 
   /// Parses one job spec {name?, source, options?}. False → bad-request.
-  bool parseJobSpec(const json::Value& spec, CompileJob& job, bool& wantVerilog,
-                    std::string& error) {
+  bool parseJobSpec(const json::Value& spec, CompileJob& job, std::string& error) {
     if (!spec.isObject()) {
       error = "job spec must be an object";
       return false;
@@ -520,27 +515,20 @@ struct ServiceDaemon::Impl {
       return false;
     }
     job.source = source->asString();
-    wantVerilog = false;
     const json::Value* options = spec.find("options");
     if (options) {
-      if (!compileOptionsFromJson(*options, cfg.baseOptions, cfg.budgetCeiling, job.options,
-                                  error)) {
-        return false;
-      }
-      const json::Value* v = options->find("verilog");
-      wantVerilog = v && v->isBool() && v->asBool();
-    } else {
-      job.options = cfg.baseOptions;
+      return compileOptionsFromJson(*options, cfg.baseOptions, cfg.budgetCeiling, job.options,
+                                    error);
     }
+    job.options = cfg.baseOptions;
     return true;
   }
 
   void handleCompile(const std::shared_ptr<Connection>& conn, const json::Value& req,
                      const json::Value* id) {
     CompileJob job;
-    bool wantVerilog = false;
     std::string error;
-    if (!parseJobSpec(req, job, wantVerilog, error)) {
+    if (!parseJobSpec(req, job, error)) {
       metrics.recordProtocolError(servicecode::kBadRequest);
       writeResponse(*conn, errorResponse(id, servicecode::kBadRequest, error));
       return;
@@ -560,7 +548,7 @@ struct ServiceDaemon::Impl {
     double serviceMs = 0;
     const CompileResult result = runAdmittedJob(conn, job, cached, serviceMs);
     json::Value resp = envelope("result", id);
-    fillResultFields(resp, job.name, result, cached, serviceMs, wantVerilog);
+    fillResultFields(resp, job.name, result, cached, serviceMs);
     writeResponse(*conn, resp);
   }
 
@@ -575,17 +563,14 @@ struct ServiceDaemon::Impl {
     }
     const size_t n = jobsField->items().size();
     std::vector<CompileJob> jobs(n);
-    std::vector<char> wantVerilog(n, 0);
     for (size_t i = 0; i < n; ++i) {
       std::string error;
-      bool wv = false;
-      if (!parseJobSpec(jobsField->items()[i], jobs[i], wv, error)) {
+      if (!parseJobSpec(jobsField->items()[i], jobs[i], error)) {
         metrics.recordProtocolError(servicecode::kBadRequest);
         writeResponse(*conn, errorResponse(id, servicecode::kBadRequest,
                                            fmt("jobs[%0]: %1", i, error)));
         return;
       }
-      wantVerilog[i] = wv ? 1 : 0;
     }
     // Atomic up-front admission: every row's verdict is decided before any
     // job runs, so which rows of an oversized batch get rejected is
@@ -641,8 +626,7 @@ struct ServiceDaemon::Impl {
         row.set("status", json::Value::string(reject[i]));
       } else {
         if (slots[i].result.ok) ++ok;
-        fillResultFields(row, jobs[i].name, slots[i].result, slots[i].cached, slots[i].serviceMs,
-                         wantVerilog[i] != 0);
+        fillResultFields(row, jobs[i].name, slots[i].result, slots[i].cached, slots[i].serviceMs);
       }
       rows.push(std::move(row));
     }

@@ -13,6 +13,7 @@ namespace roccc {
 namespace {
 
 CompileResult compile(const std::string& src, CompileOptions opt = {}) {
+  opt.emitVerilog = true; // the Verilog.* tests read CompileResult::verilog
   Compiler c(opt);
   CompileResult r = c.compileSource(src);
   EXPECT_TRUE(r.ok) << r.diags.dump();

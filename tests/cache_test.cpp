@@ -109,7 +109,7 @@ TEST(CacheKey, CanonicalOptionBytesArePinned) {
       "dp.targetStageDelayNs=4010000000000000;dp.pipeline=1;dp.inferBitWidths=1;"
       "dp.widthMode=1;dp.multStyle=0;dp.expandDividers=1;pipeline.verifyEach=0;"
       "budget.timeoutMs=0;budget.maxIrNodes=0;budget.maxUnrollProduct=0;budget.maxDepth=256;"
-      "injectFaultAt=0:;retimePipeline=1;timingModelSpec=0:;";
+      "injectFaultAt=0:;retimePipeline=1;timingModelSpec=0:;emitVerilog=0;";
   EXPECT_EQ(canonicalizeOptions(CompileOptions{}), kDefault);
 
   // One perturbation per leaf field: `from` -> `to` is the only change in
@@ -170,8 +170,10 @@ TEST(CacheKey, CanonicalOptionBytesArePinned) {
        "budget.maxDepth=256;", "budget.maxDepth=64;"},
       {"injectFaultAt", [](CompileOptions& o) { o.injectFaultAt = "driver.job"; },
        "injectFaultAt=0:;", "injectFaultAt=10:driver.job;"},
+      {"emitVerilog", [](CompileOptions& o) { o.emitVerilog = true; }, "emitVerilog=0;",
+       "emitVerilog=1;"},
   };
-  EXPECT_EQ(std::size(cases), 24u);
+  EXPECT_EQ(std::size(cases), 25u);
   for (const Case& c : cases) {
     CompileOptions o;
     c.mutate(o);
@@ -279,7 +281,9 @@ TEST(CachePolicy, DeterministicOutcomesCacheEnvironmentalOnesDoNot) {
 // --- tier 1 through the batch driver ----------------------------------------
 
 TEST(CompileCache, HitIsByteIdenticalToUncachedCompile) {
-  std::vector<CompileJob> jobs{{"k", kSmallKernel, {}}};
+  CompileOptions verilogOn;
+  verilogOn.emitVerilog = true;
+  std::vector<CompileJob> jobs{{"k", kSmallKernel, verilogOn}};
 
   const BatchResult uncached = CompileService(1).compileBatch(jobs);
   ASSERT_TRUE(uncached.allOk());
@@ -315,6 +319,26 @@ TEST(CompileCache, HitIsByteIdenticalToUncachedCompile) {
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.entries, 1);
   EXPECT_GT(stats.bytesInUse, 0);
+}
+
+TEST(CompileCache, EntryWithoutVerilogNeverAnswersARequestForIt) {
+  CompileOptions on;
+  on.emitVerilog = true;
+  ASSERT_NE(computeCacheKey(kSmallKernel, on), computeCacheKey(kSmallKernel, {}));
+
+  CompileService service(1);
+  auto cache = std::make_shared<CompileCache>();
+  service.setCache(cache);
+  const BatchResult off = service.compileBatch({{"k", kSmallKernel, {}}});
+  ASSERT_TRUE(off.allOk());
+  EXPECT_EQ(off.cacheMisses, 1);
+  EXPECT_TRUE(off.results[0].verilog.empty());
+
+  const BatchResult wanted = service.compileBatch({{"k", kSmallKernel, on}});
+  ASSERT_TRUE(wanted.allOk());
+  EXPECT_EQ(wanted.cacheMisses, 1) << "a Verilog-less entry answered a Verilog request";
+  EXPECT_FALSE(wanted.results[0].verilog.empty());
+  EXPECT_EQ(wanted.results[0].vhdl, off.results[0].vhdl);
 }
 
 TEST(CompileCache, StampedeOfIdenticalJobsCompilesOnce) {
@@ -473,6 +497,33 @@ TEST(CompileCacheDisk, WarmRestartServesFromDisk) {
     EXPECT_EQ(cache->stats().diskHits, 1);
     EXPECT_EQ(warm.results[0].vhdl, coldVhdl);
   }
+  fs::remove_all(dir);
+}
+
+TEST(CompileCacheDisk, EntryWithoutVerilogNeverAnswersARequestForIt) {
+  const std::string dir = freshDir("verilog_off");
+  CacheConfig cfg;
+  cfg.diskDir = dir;
+  {
+    CompileService service(1);
+    auto cache = std::make_shared<CompileCache>(cfg);
+    service.setCache(cache);
+    const BatchResult off = service.compileBatch({{"k", kSmallKernel, {}}});
+    ASSERT_TRUE(off.allOk());
+    EXPECT_EQ(cache->stats().diskStores, 1);
+  }
+  // A new cache over the same store: the Verilog-less entry is on disk,
+  // but a request for Verilog has another key and misses.
+  CompileOptions on;
+  on.emitVerilog = true;
+  CompileService service(1);
+  auto cache = std::make_shared<CompileCache>(cfg);
+  service.setCache(cache);
+  const BatchResult wanted = service.compileBatch({{"k", kSmallKernel, on}});
+  ASSERT_TRUE(wanted.allOk());
+  EXPECT_EQ(wanted.cacheMisses, 1);
+  EXPECT_EQ(cache->stats().diskHits, 0);
+  EXPECT_FALSE(wanted.results[0].verilog.empty());
   fs::remove_all(dir);
 }
 

@@ -2,8 +2,9 @@
 # Checks the command-line contract shared by the five tools (support/cli):
 # an unknown flag, a missing value, a value given to a flag and a malformed
 # or out-of-range value all exit 2 (usage) before any work is done; the
-# --opt=VALUE spelling works; and a negative --timeout-ms is still the
-# deterministic-timeout knob (exit 3), not a usage error.
+# --opt=VALUE spelling works; --verilog FILE takes one input; and a negative
+# --timeout-ms is still the deterministic-timeout knob (exit 3), not a usage
+# error.
 #
 #   check_cli_usage.sh <roccc-cc> <roccc-ccd> <roccc-client> <roccc-explore> <roccc-verify>
 #
@@ -50,7 +51,8 @@ expect() {
 
 # roccc-cc: malformed and out-of-range values, unknown flags.
 for bad in "--unroll abc" "--unroll 0" "--unroll -3" "--unroll 2x" "--target-ns abc" \
-           "--target-ns 4ns" "--mult-style dsp48" "--max-ir-nodes -1" "--max-depth x" \
+           "--target-ns 4ns" "--target-ns nan" "--target-ns inf" "--target-ns 0" \
+           "--target-ns -1" "--mult-style dsp48" "--max-ir-nodes -1" "--max-depth x" \
            "--timeout-ms 1.5" "--jobs -1" "--tb-seed zz" "--cache-bytes 0" "--bogus" \
            "--quiet=1" "--unroll"; do
   # shellcheck disable=SC2086
@@ -59,24 +61,32 @@ done
 expect 0 "$CC" "$tmp/k.c" --unroll=2 --target-ns=3.5 --mult-style=mult18 -o "$tmp/k.vhd" --quiet
 [ -s "$tmp/k.vhd" ] || { echo "FAIL: roccc-cc --unroll=2 wrote no VHDL" >&2; failures=$((failures + 1)); }
 expect 3 "$CC" "$tmp/k.c" --timeout-ms=-1 -o "$tmp/k.vhd" --quiet
+# --verilog FILE names one file, so it takes one input, as -o does.
+expect 2 "$CC" --quiet --verilog "$tmp/two.v" "$tmp/k.c" "$tmp/k.c"
+if [ -e "$tmp/two.v" ]; then
+  echo "FAIL: roccc-cc --verilog with two inputs wrote a file" >&2
+  failures=$((failures + 1))
+fi
+expect 0 "$CC" "$tmp/k.c" --verilog="$tmp/k.v" -o "$tmp/k.vhd" --quiet
+[ -s "$tmp/k.v" ] || { echo "FAIL: roccc-cc --verilog wrote no Verilog" >&2; failures=$((failures + 1)); }
 
 # roccc-ccd: only malformed command lines (a valid one starts a daemon).
-for bad in "--target-ns abc" "--jobs x" "--queue 0" "--timeout-ms -1" "--max-depth 1x" \
-           "--unroll 2" "--bogus" "stray"; do
+for bad in "--target-ns abc" "--target-ns nan" "--target-ns 0" "--jobs x" "--queue 0" \
+           "--timeout-ms -1" "--max-depth 1x" "--unroll 2" "--bogus" "stray"; do
   # shellcheck disable=SC2086
   expect 2 "$CCD" --socket "$tmp/bad.sock" --quiet $bad
 done
 
 # roccc-client: rejected locally, before it connects.
-for bad in "--unroll abc" "--unroll 0" "--target-ns abc" "--max-ir-nodes -1" \
-           "--mult-style dsp48" "--drain halt" "--bogus"; do
+for bad in "--unroll abc" "--unroll 0" "--target-ns abc" "--target-ns inf" "--target-ns -1" \
+           "--max-ir-nodes -1" "--mult-style dsp48" "--drain halt" "--bogus"; do
   # shellcheck disable=SC2086
   expect 2 "$CLIENT" --socket "$tmp/none.sock" $bad "$tmp/k.c"
 done
 
 # roccc-explore.
-for bad in "--unroll abc" "--unroll 0" "--target-ns x" "--timeout-ms x" "--max-ir-nodes -1" \
-           "--seed zz" "--jobs abc" "--bogus"; do
+for bad in "--unroll abc" "--unroll 0" "--target-ns x" "--target-ns nan" "--target-ns -1" \
+           "--timeout-ms x" "--max-ir-nodes -1" "--seed zz" "--jobs abc" "--bogus"; do
   # shellcheck disable=SC2086
   expect 2 "$EXPLORE" --kernel "k=$tmp/k.c" --no-cycles --quiet $bad
 done

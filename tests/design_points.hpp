@@ -3,7 +3,8 @@
 //
 // Options match the full-text golden tests: Table 1 kernels carry their own
 // stage-delay target (table1_golden_test), corpus kernels use the defaults
-// (corpus_conformance_test); only unrollFactor varies.
+// (corpus_conformance_test); only unrollFactor varies. Every point emits
+// Verilog too, so its bytes are pinned alongside the VHDL.
 //
 // Users define ROCCC_CORPUS_DIR. The digest tests also share the
 // `--update-goldens` / ROCCC_UPDATE_GOLDENS switch parsed here.
@@ -48,11 +49,13 @@ inline std::vector<DesignPoint> designPoints() {
       DesignPoint p{k.name + suffix, k.source, {}};
       if (k.targetStageDelayNs > 0) p.options.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
       p.options.unrollFactor = u;
+      p.options.emitVerilog = true;
       points.push_back(std::move(p));
     }
     for (const auto& [name, source] : corpus) {
       DesignPoint p{name + suffix, source, {}};
       p.options.unrollFactor = u;
+      p.options.emitVerilog = true;
       points.push_back(std::move(p));
     }
   }

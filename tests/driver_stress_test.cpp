@@ -55,7 +55,8 @@ std::vector<CompileJob> fuzzBatch(int seeds, uint64_t salt) {
 
 TEST(DriverStress, FuzzBatchOnEightWorkersMatchesSerialReference) {
   const int seeds = seedCount();
-  const std::vector<CompileJob> jobs = fuzzBatch(seeds, 0xace0fba5e);
+  std::vector<CompileJob> jobs = fuzzBatch(seeds, 0xace0fba5e);
+  for (CompileJob& job : jobs) job.options.emitVerilog = true;
 
   const BatchResult parallel = CompileService(kWorkers).compileBatch(jobs);
   const BatchResult serial = CompileService(1).compileBatch(jobs);
@@ -121,6 +122,7 @@ TEST(DriverStress, CacheToggledBatchesMatchSerialUncachedReference) {
   // cache's TSan workload in the build-tsan preset.
   const int seeds = std::min(seedCount(), 24);
   std::vector<CompileJob> distinct = fuzzBatch(seeds, 0xcac4ed);
+  for (CompileJob& job : distinct) job.options.emitVerilog = true;
 
   // Serial uncached reference, one result per distinct kernel.
   const BatchResult reference = CompileService(1).compileBatch(distinct);

@@ -225,6 +225,8 @@ TEST(CompileServiceDeterminism, OneWorkerAndEightWorkersAreByteIdentical) {
   broken.source = "void k(const int8 A[8], int8 C[4]) { }";
   jobs.push_back(broken);
 
+  for (CompileJob& job : jobs) job.options.emitVerilog = true;
+
   const BatchResult serial = CompileService(1).compileBatch(jobs);
   const BatchResult parallel = CompileService(8).compileBatch(jobs);
   ASSERT_EQ(serial.results.size(), parallel.results.size());

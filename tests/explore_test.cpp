@@ -233,6 +233,18 @@ TEST(ExploreManifest, ErrorsCarryLineNumbers) {
   EXPECT_TRUE(error.rfind("line 1:", 0) == 0) << error;
 }
 
+TEST(ExploreManifest, TargetNsValuesAreFiniteAndInRange) {
+  SweepManifest m;
+  std::string error;
+  for (const char* bad : {"nan", "inf", "-inf", "-1", "1e999", "2e6", "4ns"}) {
+    EXPECT_FALSE(parseSweepManifest(std::string("target-ns ") + bad + "\n", m, error)) << bad;
+    EXPECT_EQ(error, std::string("line 1: invalid target-ns value '") + bad + "'");
+  }
+  // 0 keeps its meaning: the kernel's default target.
+  ASSERT_TRUE(parseSweepManifest("target-ns 0 2.5 1e6\n", m, error)) << error;
+  EXPECT_EQ(m.grid.targetNs, (std::vector<double>{0, 2.5, 1e6}));
+}
+
 TEST(ExploreManifest, RepeatedAxisDirectiveIsAnError) {
   SweepManifest m;
   std::string error;

@@ -26,10 +26,13 @@
 namespace roccc {
 namespace {
 
+/// The nine Table 1 kernels, with Verilog emission on so the sibling
+/// checks compare both HDL texts and every fault point can fire.
 std::vector<CompileJob> table1Jobs() {
   std::vector<CompileJob> jobs;
   for (const auto& k : bench::kTable1Kernels) {
     CompileOptions o;
+    o.emitVerilog = true;
     if (k.targetStageDelayNs > 0) o.dpOptions.targetStageDelayNs = k.targetStageDelayNs;
     jobs.push_back({k.name, k.source, o});
   }
@@ -77,6 +80,7 @@ TEST(FaultInjection, EveryRegisteredPointIsContained) {
   for (const auto& fp : faultPointRegistry()) {
     CompileOptions o;
     o.injectFaultAt = fp.name;
+    o.emitVerilog = true; // verilog.emit sits in a pass that only runs on request
     if (std::string(fp.pass).empty()) {
       // Points outside the PassManager ("driver.job") only fire under the
       // batch driver.
@@ -98,6 +102,16 @@ TEST(FaultInjection, EveryRegisteredPointIsContained) {
     }
     EXPECT_TRUE(mentionsInjection) << fp.name;
   }
+}
+
+TEST(FaultInjection, PointInASkippedPassNeverFires) {
+  // Without Verilog emission the emit-verilog pass is skipped, so its
+  // armed point is inert and the compile succeeds.
+  CompileOptions o;
+  o.injectFaultAt = "verilog.emit";
+  const CompileResult r = Compiler(o).compileSource(bench::kFir);
+  EXPECT_TRUE(r.ok) << r.diags.dump();
+  EXPECT_TRUE(r.verilog.empty());
 }
 
 // --- sibling isolation under an 8-worker batch ------------------------------
@@ -223,11 +237,11 @@ TEST(CompileBudget, DepthCapContainsPathologicalNesting) {
 TEST(CompileBudget, GenerousBudgetLeavesOutputByteIdentical) {
   // Armed-but-untriggered governance must not perturb the output: this is
   // the determinism side of the <1% overhead claim in EXPERIMENTS.md.
-  const Compiler plain(CompileOptions{});
-  const CompileResult base = plain.compileSource(bench::kFir);
+  CompileOptions o;
+  o.emitVerilog = true;
+  const CompileResult base = Compiler(o).compileSource(bench::kFir);
   ASSERT_TRUE(base.ok);
 
-  CompileOptions o;
   o.budget.timeoutMs = 60'000;
   o.budget.maxIrNodes = 10'000'000;
   o.budget.maxUnrollProduct = 1'000'000;

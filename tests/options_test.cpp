@@ -33,7 +33,7 @@ TEST(OptionTable, RowsNameDistinctLeafFields) {
       EXPECT_EQ(findOptionByFlag(f.flag), &f) << f.key;
     }
   }
-  EXPECT_EQ(fields.size(), 24u);
+  EXPECT_EQ(fields.size(), 25u);
   EXPECT_EQ(findOptionByFlag("--no-such-flag"), nullptr);
 }
 
@@ -62,7 +62,7 @@ TEST(OptionTable, JsonRowsRoundTripAndRejectWrongTypes) {
         << f.jsonKey;
     EXPECT_EQ(error.rfind(std::string("option '") + f.jsonKey + "' must be ", 0), 0u) << error;
   }
-  EXPECT_EQ(jsonRows, 14);
+  EXPECT_EQ(jsonRows, 15);
 }
 
 TEST(OptionTable, FlagRowsParseTheirSpellingAndRejectMalformedValues) {
@@ -88,6 +88,11 @@ TEST(OptionTable, FlagRowsParseTheirSpellingAndRejectMalformedValues) {
     }
     if (v.isNumber() && v.isIntegral() && f.min == 1) {
       EXPECT_FALSE(parseOptionArg(f, "0", got)) << f.flag;
+    }
+    if (std::holds_alternative<double*>(f.ref(got)) && f.min == 0) {
+      for (const char* bad : {"nan", "inf", "-inf", "0", "-1", "1e999"}) {
+        EXPECT_FALSE(parseOptionArg(f, bad, got)) << f.flag << " " << bad;
+      }
     }
     if (!f.names.empty()) {
       EXPECT_FALSE(parseOptionArg(f, "nope", got)) << f.flag;

@@ -58,7 +58,9 @@ TEST(Pipeline, DeclaredPassOrdering) {
 }
 
 TEST(Pipeline, EveryRegisteredPassProducesOneStatsRecord) {
-  const Compiler c;
+  CompileOptions opt;
+  opt.emitVerilog = true; // every pass runs
+  const Compiler c(opt);
   const CompileResult r = c.compileSource(kFirSrc);
   ASSERT_TRUE(r.ok) << r.diags.dump();
   EXPECT_EQ(r.passLog.size(), c.buildPipeline().passes().size());
@@ -82,6 +84,29 @@ TEST(Pipeline, DisabledPassesAreRecordedAsSkipped) {
     EXPECT_FALSE(s->ran) << name;
     EXPECT_EQ(s->wallMs, 0.0) << name;
   }
+}
+
+TEST(Pipeline, VerilogIsEmittedOnlyOnRequest) {
+  const CompileResult off = Compiler().compileSource(kFirSrc);
+  ASSERT_TRUE(off.ok) << off.diags.dump();
+  EXPECT_TRUE(off.verilog.empty());
+  EXPECT_FALSE(off.vhdl.empty());
+  const PassStatistics* skipped = findPass(off.passLog, "emit-verilog");
+  ASSERT_NE(skipped, nullptr);
+  EXPECT_FALSE(skipped->ran);
+  EXPECT_TRUE(skipped->counters.empty());
+  EXPECT_EQ(off.passLog.size(), Compiler().buildPipeline().passes().size());
+
+  CompileOptions opt;
+  opt.emitVerilog = true;
+  const CompileResult on = Compiler(opt).compileSource(kFirSrc);
+  ASSERT_TRUE(on.ok) << on.diags.dump();
+  EXPECT_FALSE(on.verilog.empty());
+  const PassStatistics* ran = findPass(on.passLog, "emit-verilog");
+  ASSERT_NE(ran, nullptr);
+  EXPECT_TRUE(ran->ran);
+  // Verilog emission changes nothing upstream of it.
+  EXPECT_EQ(on.vhdl, off.vhdl);
 }
 
 TEST(Pipeline, VerifyEachCompilesCleanKernels) {
@@ -276,6 +301,7 @@ TEST(Pipeline, PrintAfterCapturesRequestedSnapshots) {
 TEST(Pipeline, PrintAfterAllCapturesEverySnapshot) {
   CompileOptions opt;
   opt.pipeline.printAfterAll = true;
+  opt.emitVerilog = true; // every pass runs
   const Compiler c(opt);
   const CompileResult r = c.compileSource(kFirSrc);
   ASSERT_TRUE(r.ok);

@@ -21,6 +21,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 
 #include "../bench/kernels.hpp"
@@ -216,8 +217,14 @@ TEST(ServiceNetOptions, RejectionMessagesArePinned) {
       {"unroll", str, "option 'unroll' must be an integer >= 1"},
       {"unroll", frac, "option 'unroll' must be an integer >= 1"},
       {"unroll", zero, "option 'unroll' must be an integer >= 1"},
-      {"targetNs", str, "option 'targetNs' must be a number"},
-      {"targetNs", yes, "option 'targetNs' must be a number"},
+      {"targetNs", str, "option 'targetNs' must be a finite number > 0"},
+      {"targetNs", yes, "option 'targetNs' must be a finite number > 0"},
+      {"targetNs", zero, "option 'targetNs' must be a finite number > 0"},
+      {"targetNs", neg, "option 'targetNs' must be a finite number > 0"},
+      {"targetNs", Value::number(std::numeric_limits<double>::infinity()),
+       "option 'targetNs' must be a finite number > 0"},
+      {"targetNs", Value::number(std::numeric_limits<double>::quiet_NaN()),
+       "option 'targetNs' must be a finite number > 0"},
       {"retime", num, "option 'retime' must be a boolean"},
       {"multStyle", yes, "option 'multStyle' must be \"lut\" or \"mult18\""},
       {"multStyle", Value::string("dsp48"), "option 'multStyle' must be \"lut\" or \"mult18\""},
@@ -401,8 +408,11 @@ TEST(ServiceNetCompile, DaemonBytesMatchLocalCompile) {
   h.start();
   auto client = h.connect();
 
-  const CompileResult ref = referenceCompile(kSmallKernel);
+  CompileOptions verilogOn;
+  verilogOn.emitVerilog = true;
+  const CompileResult ref = referenceCompile(kSmallKernel, verilogOn);
   ASSERT_TRUE(ref.ok);
+  ASSERT_FALSE(ref.verilog.empty());
 
   Value resp;
   std::string error;

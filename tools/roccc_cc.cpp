@@ -117,7 +117,12 @@ std::vector<roccc::cli::Option> optionTable(Args& a) {
          a.cosim = true;
          return true;
        }},
-      cli::text("--verilog", "FILE", "also write the Verilog form of the design", a.verilogPath),
+      {"--verilog", "FILE", "also write the Verilog form of the design (single input only)",
+       [&a](const char* v) {
+         a.verilogPath = v;
+         a.options.emitVerilog = true;
+         return true;
+       }},
       cli::text("--json", "FILE", "export the data-path graph as JSON", a.jsonPath),
       cli::text("--stats-json", "FILE",
                 "write pass statistics (single) or batch+cache stats as JSON", a.statsJsonPath),
@@ -352,8 +357,8 @@ int main(int argc, char** argv) {
   }
 
   if (a.inputs.size() > 1) {
-    if (!a.output.empty()) {
-      std::fprintf(stderr, "error: -o is incompatible with multiple inputs "
+    if (!a.output.empty() || !a.verilogPath.empty()) {
+      std::fprintf(stderr, "error: -o/--verilog are incompatible with multiple inputs "
                            "(each writes its own <input>.vhd)\n");
       return 2;
     }

@@ -71,11 +71,11 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parseDoubleList(const char* v, std::vector<double>& out) {
+bool parseTargetNsList(const char* v, std::vector<double>& out) {
   out.clear();
   for (const std::string& item : roccc::cli::splitList(v)) {
     double d = 0;
-    if (!roccc::cli::parseDouble(item.c_str(), d) || d < 0) return false;
+    if (!roccc::parseTargetNsValue(item, d)) return false;
     out.push_back(d);
   }
   return !out.empty();
@@ -106,7 +106,7 @@ std::vector<roccc::cli::Option> optionTable(Args& a) {
       {"--unroll", "LIST", "unroll-factor axis, comma-separated (overrides the grid file)",
        [&a](const char* v) { return cli::parseIntList(v, 1, a.unrolls); }},
       {"--target-ns", "LIST", "stage-delay-target axis in ns (0 = per-kernel default)",
-       [&a](const char* v) { return parseDoubleList(v, a.targetNs); }},
+       [&a](const char* v) { return parseTargetNsList(v, a.targetNs); }},
       {"--axes", "LIST", "Pareto axes: slices,fmax,cycles,energy,edp,throughput",
        [&a](const char* v) {
          a.axes.clear();
