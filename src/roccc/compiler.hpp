@@ -125,8 +125,8 @@ class Compiler {
   /// The declared pass sequence compileSource runs: parse, the HLIR loop
   /// transforms, kernel extraction, MIR lowering/SSA/optimization,
   /// data-path construction, RTL build (always verified), VHDL emission and
-  /// (with emitVerilog) Verilog emission. Exposed so tools and tests can inspect, reorder, or
-  /// extend the pipeline.
+  /// (with emitVerilog) Verilog emission. Exposed so tools and tests can
+  /// inspect, reorder, or extend the pipeline.
   PassManager buildPipeline() const;
 
   const CompileOptions& options() const { return options_; }
