@@ -7,14 +7,19 @@
 // Verilog too, so its bytes are pinned alongside the VHDL.
 //
 // Users define ROCCC_CORPUS_DIR. The digest tests also share the
-// `--update-goldens` / ROCCC_UPDATE_GOLDENS switch parsed here.
+// `--update-goldens` / ROCCC_UPDATE_GOLDENS switch and the "<label> <fact>
+// <value>" pin-file helpers defined here.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -78,6 +83,56 @@ inline bool takeUpdateGoldensFlag(int& argc, char** argv) {
     if (env[0] != '\0' && env[0] != '0') update = true;
   }
   return update;
+}
+
+/// The IEEE-754 bit pattern of `d` as 16 hex digits: pins a double exactly.
+inline std::string bitsHex(double d) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<uint64_t>(d)));
+  return buf;
+}
+
+/// "<label> <fact>" -> value, one entry per line of a pin file.
+using FactMap = std::map<std::string, std::string>;
+
+inline FactMap readFacts(std::ifstream& in) {
+  FactMap out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t labelEnd = line.find(' ');
+    const size_t factEnd = line.find(' ', labelEnd + 1);
+    if (labelEnd == std::string::npos || factEnd == std::string::npos) continue;
+    out[line.substr(0, factEnd)] = line.substr(factEnd + 1);
+  }
+  return out;
+}
+
+/// Writes `facts` after the `header` comment lines, in key order.
+inline bool writeFacts(const std::string& path, const std::string& header, const FactMap& facts) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out.good()) return false;
+  out << header;
+  for (const auto& [key, value] : facts) out << key << ' ' << value << '\n';
+  return out.good();
+}
+
+/// One message per fact that is unpinned, moved, or pinned but gone.
+inline std::vector<std::string> factMismatches(const FactMap& pinned, const FactMap& actual) {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : actual) {
+    const auto it = pinned.find(key);
+    if (it == pinned.end()) {
+      out.push_back(key + ": not pinned");
+    } else if (it->second != value) {
+      out.push_back(key + " moved: pinned " + it->second + ", now " + value);
+    }
+  }
+  for (const auto& entry : pinned) {
+    if (!actual.count(entry.first)) out.push_back(entry.first + ": pinned but no longer produced");
+  }
+  return out;
 }
 
 } // namespace roccc::testpoints

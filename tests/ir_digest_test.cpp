@@ -21,10 +21,7 @@
 // (or set ROCCC_UPDATE_GOLDENS=1).
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
 #include <fstream>
-#include <map>
 #include <string>
 
 #include "design_points.hpp"
@@ -38,15 +35,8 @@ bool g_updateGoldens = false;
 
 const std::string kDigestPath = std::string(ROCCC_GOLDEN_DIR) + "/ir_digests.txt";
 
-std::string bitsHex(double d) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<uint64_t>(d)));
-  return buf;
-}
-
-/// "<label> <fact>" -> value, one entry per line of the digest file.
-using FactMap = std::map<std::string, std::string>;
+using testpoints::bitsHex;
+using testpoints::FactMap;
 
 void collectFacts(const std::string& label, const CompileResult& r, FactMap& out) {
   auto put = [&](const std::string& fact, std::string value) {
@@ -74,19 +64,6 @@ void collectFacts(const std::string& label, const CompileResult& r, FactMap& out
   }
 }
 
-FactMap readFacts(std::ifstream& in) {
-  FactMap out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t labelEnd = line.find(' ');
-    const size_t factEnd = line.find(' ', labelEnd + 1);
-    if (labelEnd == std::string::npos || factEnd == std::string::npos) continue;
-    out[line.substr(0, factEnd)] = line.substr(factEnd + 1);
-  }
-  return out;
-}
-
 TEST(IrDigests, EveryDesignPointMatchesPinnedDecisions) {
   FactMap actual;
   for (const auto& p : testpoints::designPoints()) {
@@ -96,28 +73,18 @@ TEST(IrDigests, EveryDesignPointMatchesPinnedDecisions) {
   }
 
   if (g_updateGoldens) {
-    std::ofstream out(kDigestPath, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << kDigestPath;
-    out << "# Back-end IR, counters and delay bits per design point; see tests/ir_digest_test.cpp.\n"
-        << "# <kernel>@u<unroll> <fact> <value>\n";
-    for (const auto& [key, value] : actual) out << key << ' ' << value << '\n';
+    ASSERT_TRUE(testpoints::writeFacts(
+        kDigestPath,
+        "# Back-end IR, counters and delay bits per design point; see tests/ir_digest_test.cpp.\n"
+        "# <kernel>@u<unroll> <fact> <value>\n",
+        actual))
+        << "cannot write " << kDigestPath;
     return;
   }
 
   std::ifstream in(kDigestPath, std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing " << kDigestPath << " — regenerate with --update-goldens";
-  const FactMap pinned = readFacts(in);
-  for (const auto& [key, value] : actual) {
-    const auto it = pinned.find(key);
-    if (it == pinned.end()) {
-      ADD_FAILURE() << key << ": not pinned";
-      continue;
-    }
-    EXPECT_EQ(it->second, value) << key << " moved";
-  }
-  for (const auto& entry : pinned) {
-    EXPECT_TRUE(actual.count(entry.first)) << entry.first << ": pinned but no longer produced";
-  }
+  for (const auto& m : testpoints::factMismatches(testpoints::readFacts(in), actual)) ADD_FAILURE() << m;
 }
 
 } // namespace
