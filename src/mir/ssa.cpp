@@ -1,9 +1,9 @@
 #include "mir/ssa.hpp"
 
-#include <cassert>
-#include <functional>
-#include <map>
+#include <iterator>
+#include <vector>
 
+#include "support/budget.hpp"
 #include "support/faultpoint.hpp"
 #include "support/strings.hpp"
 
@@ -12,112 +12,144 @@ namespace roccc::mir {
 void buildSSA(FunctionIR& f) {
   faultpoint("mir.ssa");
   const DomTree dt = computeDominators(f);
+  const size_t nRegs = f.regTypes.size();
 
-  // Definition sites per register.
-  std::map<int, std::set<int>> defBlocks;
+  // Registers needing phi treatment: more than one definition, in
+  // ascending id order. Definitions are counted in one scan.
+  std::vector<int> defCount(nRegs, 0);
   for (const auto& b : f.blocks) {
     for (const auto& in : b.instrs) {
-      if (in.hasDst()) defBlocks[in.dst].insert(b.id);
+      if (in.hasDst()) ++defCount[static_cast<size_t>(in.dst)];
     }
   }
-
-  // Registers needing phi treatment: more than one definition.
   std::vector<int> multiDef;
-  for (const auto& [r, blocks] : defBlocks) {
-    size_t defs = 0;
-    for (int bid : blocks) {
-      for (const auto& in : f.blocks[static_cast<size_t>(bid)].instrs) {
-        if (in.dst == r) ++defs;
-      }
+  std::vector<char> renamed(nRegs, 0);
+  for (size_t r = 0; r < nRegs; ++r) {
+    if (defCount[r] < 2) continue;
+    multiDef.push_back(static_cast<int>(r));
+    renamed[r] = 1;
+  }
+
+  // Their definition blocks, distinct and ascending (blocks scan in id
+  // order, the entry first).
+  std::vector<std::vector<int>> defBlocks(nRegs);
+  for (const auto& b : f.blocks) {
+    for (const auto& in : b.instrs) {
+      if (!in.hasDst() || !renamed[static_cast<size_t>(in.dst)]) continue;
+      auto& blocks = defBlocks[static_cast<size_t>(in.dst)];
+      if (blocks.empty() || blocks.back() != b.id) blocks.push_back(b.id);
     }
-    if (defs > 1) multiDef.push_back(r);
   }
 
   // Give every multi-def register an explicit default definition in the
   // entry block so each path has a reaching definition (DCE removes the
-  // dead ones).
-  for (int r : multiDef) {
-    if (defBlocks[r].count(0)) continue;
+  // dead ones). They go after the leading In instructions, before anything
+  // else, in descending register order, in one splice.
+  std::vector<Instr> defaults;
+  for (auto it = multiDef.rbegin(); it != multiDef.rend(); ++it) {
+    const int r = *it;
+    auto& blocks = defBlocks[static_cast<size_t>(r)];
+    if (blocks.front() == 0) continue;
     Instr ld;
     ld.op = Opcode::Ldc;
     ld.dst = r;
     ld.type = f.regTypes[static_cast<size_t>(r)];
     ld.imm = 0;
-    // Insert after leading In instructions, before anything else.
+    defaults.push_back(std::move(ld));
+    blocks.push_back(0);
+  }
+  if (!defaults.empty()) {
     auto& entry = f.entry().instrs;
     auto pos = entry.begin();
     while (pos != entry.end() && pos->op == Opcode::In) ++pos;
-    entry.insert(pos, std::move(ld));
-    defBlocks[r].insert(0);
+    entry.insert(pos, std::make_move_iterator(defaults.begin()),
+                 std::make_move_iterator(defaults.end()));
   }
 
-  // Phi insertion at iterated dominance frontiers.
-  std::map<int, std::set<int>> phiBlocksForReg;
+  // Phi insertion at iterated dominance frontiers. Each block collects its
+  // phi registers in ascending order; its phis lead the block in
+  // descending register order, inserted in one splice.
+  std::vector<std::vector<int>> phiRegs(f.blocks.size());
+  std::vector<int> phiPlacedFor(f.blocks.size(), -1);
+  std::vector<int> work;
   for (int r : multiDef) {
-    std::vector<int> work(defBlocks[r].begin(), defBlocks[r].end());
-    std::set<int> hasPhi;
+    budgetCheckpoint("ssa-build");
+    work = defBlocks[static_cast<size_t>(r)];
     while (!work.empty()) {
       const int b = work.back();
       work.pop_back();
       for (int df : dt.frontier[static_cast<size_t>(b)]) {
-        if (hasPhi.insert(df).second) {
-          phiBlocksForReg[r].insert(df);
-          work.push_back(df);
-        }
+        if (phiPlacedFor[static_cast<size_t>(df)] == r) continue;
+        phiPlacedFor[static_cast<size_t>(df)] = r;
+        phiRegs[static_cast<size_t>(df)].push_back(r);
+        work.push_back(df);
       }
     }
   }
-  for (const auto& [r, blocks] : phiBlocksForReg) {
-    for (int bid : blocks) {
-      Block& b = f.blocks[static_cast<size_t>(bid)];
+  std::vector<Instr> phis;
+  for (size_t bid = 0; bid < f.blocks.size(); ++bid) {
+    if (phiRegs[bid].empty()) continue;
+    Block& b = f.blocks[bid];
+    phis.clear();
+    for (auto it = phiRegs[bid].rbegin(); it != phiRegs[bid].rend(); ++it) {
       Instr phi;
       phi.op = Opcode::Phi;
-      phi.dst = r;
-      phi.type = f.regTypes[static_cast<size_t>(r)];
-      phi.srcs.assign(b.preds.size(), Operand::ofReg(r));
-      b.instrs.insert(b.instrs.begin(), std::move(phi));
+      phi.dst = *it;
+      phi.type = f.regTypes[static_cast<size_t>(*it)];
+      phi.srcs.assign(b.preds.size(), Operand::ofReg(*it));
+      phis.push_back(std::move(phi));
     }
+    b.instrs.insert(b.instrs.begin(), std::make_move_iterator(phis.begin()),
+                    std::make_move_iterator(phis.end()));
   }
 
-  // Renaming via dominator-tree DFS.
+  // Renaming via an explicit-stack preorder walk of the dominator tree.
   std::vector<std::vector<int>> domChildren(f.blocks.size());
   for (size_t b = 1; b < f.blocks.size(); ++b) {
     if (dt.idom[b] >= 0) domChildren[static_cast<size_t>(dt.idom[b])].push_back(static_cast<int>(b));
   }
 
-  const std::set<int> renamed(multiDef.begin(), multiDef.end());
-  std::map<int, std::vector<int>> stacks; // original reg -> stack of versions
-  std::map<int, int> versionCount;
-
+  // Renaming mints registers past nRegs; only the original multi-def ones
+  // are renamed.
+  auto isRenamed = [&](int r) { return static_cast<size_t>(r) < nRegs && renamed[static_cast<size_t>(r)]; };
+  std::vector<std::vector<int>> stacks(nRegs); // original reg -> stack of versions
+  std::vector<int> versionCount(nRegs, 0);
+  std::vector<int> pushed; // original regs whose stacks grew, in push order
   auto top = [&](int r) -> int {
-    auto it = stacks.find(r);
-    if (it == stacks.end() || it->second.empty()) return r; // single-def regs
-    return it->second.back();
+    const auto& s = stacks[static_cast<size_t>(r)];
+    return s.empty() ? r : s.back(); // single-def regs keep their id
   };
 
-  std::function<void(int)> rename = [&](int bid) {
+  struct Frame {
+    int block;
+    size_t nextChild;
+    size_t pushedMark; ///< pushed.size() on entry: what to pop on exit
+  };
+  std::vector<Frame> frames;
+  auto enter = [&](int bid) {
+    budgetCheckpoint("ssa-build");
+    frames.push_back({bid, 0, pushed.size()});
     Block& b = f.blocks[static_cast<size_t>(bid)];
-    std::vector<std::pair<int, size_t>> pushed; // (origReg, countToPop)
-
     for (auto& in : b.instrs) {
       if (in.op != Opcode::Phi) {
         for (auto& o : in.srcs) {
-          if (o.isReg() && renamed.count(o.reg)) o.reg = top(o.reg);
+          if (o.isReg() && isRenamed(o.reg)) o.reg = top(o.reg);
         }
       }
-      if (in.hasDst() && renamed.count(in.dst)) {
+      if (in.hasDst() && isRenamed(in.dst)) {
         const int orig = in.dst;
-        const int v = versionCount[orig]++;
+        const int v = versionCount[static_cast<size_t>(orig)]++;
         const int newReg =
             v == 0 ? orig
                    : f.newReg(f.regTypes[static_cast<size_t>(orig)],
                               fmt("%0.%1", f.regNames[static_cast<size_t>(orig)], v));
         in.dst = newReg;
-        stacks[orig].push_back(newReg);
-        pushed.emplace_back(orig, 1);
+        stacks[static_cast<size_t>(orig)].push_back(newReg);
+        pushed.push_back(orig);
       }
     }
-    // Fill phi operands of successors.
+    // Fill phi operands of successors. Every phi operand starts as the
+    // phi's original register, which is what the stacks are keyed on.
     for (int s : b.succs) {
       Block& sb = f.blocks[static_cast<size_t>(s)];
       size_t predIdx = 0;
@@ -126,21 +158,23 @@ void buildSSA(FunctionIR& f) {
       }
       for (auto& in : sb.instrs) {
         if (in.op != Opcode::Phi) break;
-        // Identify the phi's original register: every operand initially
-        // holds it; after partial renaming the slot for this pred still
-        // does unless already filled. Track via a parallel note: we use
-        // the invariant that phi operands were initialized to the original
-        // register id, which stacks key on.
         Operand& slot = in.srcs[predIdx];
-        if (slot.isReg() && renamed.count(slot.reg)) slot.reg = top(slot.reg);
+        if (slot.isReg() && isRenamed(slot.reg)) slot.reg = top(slot.reg);
       }
     }
-    for (int c : domChildren[static_cast<size_t>(bid)]) rename(c);
-    for (auto& [orig, n] : pushed) {
-      for (size_t i = 0; i < n; ++i) stacks[orig].pop_back();
-    }
   };
-  rename(0);
+  enter(0);
+  while (!frames.empty()) {
+    Frame& fr = frames.back();
+    const auto& children = domChildren[static_cast<size_t>(fr.block)];
+    if (fr.nextChild < children.size()) {
+      enter(children[fr.nextChild++]);
+      continue;
+    }
+    for (size_t i = fr.pushedMark; i < pushed.size(); ++i) stacks[static_cast<size_t>(pushed[i])].pop_back();
+    pushed.resize(fr.pushedMark);
+    frames.pop_back();
+  }
 }
 
 } // namespace roccc::mir

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <sstream>
 
 #include "support/strings.hpp"
@@ -191,8 +190,15 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
     auto isChainReg = [&](const rtl::Cell& c) {
       return c.kind == rtl::CellKind::Reg && c.inputs.size() == 1;
     };
+    // net -> the chain reg it feeds (the last in cell order if several; the
+    // walk below only follows single-fanout nets, where there is one).
+    std::vector<int> chainRegOn(m.nets.size(), -1);
+    for (const auto& c : m.cells) {
+      if (isChainReg(c)) chainRegOn[static_cast<size_t>(c.inputs[0])] = c.id;
+    }
     // Walk chains from their heads (a chain reg whose input is NOT a
     // single-fanout chain reg).
+    std::vector<int> chain;
     for (const auto& c : m.cells) {
       if (!isChainReg(c)) continue;
       const int drv = m.nets[static_cast<size_t>(c.inputs[0])].driver;
@@ -201,15 +207,11 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
           fanout[static_cast<size_t>(c.inputs[0])] > 1;
       if (!headOfChain) continue;
       // Extend forward while the output feeds exactly one chain reg.
-      std::vector<int> chain = {c.id};
-      int cur = c.id;
-      for (;;) {
+      chain.assign(1, c.id);
+      for (int cur = c.id;;) {
         const int out = m.cells[static_cast<size_t>(cur)].output;
         if (fanout[static_cast<size_t>(out)] != 1) break;
-        int nextReg = -1;
-        for (const auto& cc : m.cells) {
-          if (isChainReg(cc) && !cc.inputs.empty() && cc.inputs[0] == out) nextReg = cc.id;
-        }
+        const int nextReg = chainRegOn[static_cast<size_t>(out)];
         if (nextReg < 0) break;
         chain.push_back(nextReg);
         cur = nextReg;
@@ -242,31 +244,63 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
   rep.slices = slicesFor(rep.res);
   rep.leakageMw = leakageUw / 1000.0;
 
-  // Longest combinational path: DFS with memoization over the cell DAG
-  // (registers and inputs are path sources). arrival(cell) = max over
-  // combinational fan-in of arrival + routing, + own delay.
+  // Longest combinational path over the cell DAG (registers, constants and
+  // inputs are path sources): arrival(cell) = max over combinational fan-in
+  // of arrival + routing, + own delay. Each cell is finished once, after its
+  // fan-in: cells whose fan-in is already known finish in cell order, and a
+  // cell with an unvisited driver waits on an explicit stack while the
+  // driver is finished first (a post-order walk, so a topological order). A
+  // cell on the stack reads as 0 to a fan-in that loops back to it (cycles
+  // are broken defensively; registers end paths).
   std::vector<double> arrival(m.cells.size(), -1.0);
-  std::function<double(int)> arrivalOf = [&](int cid) -> double {
-    double& a = arrival[static_cast<size_t>(cid)];
-    if (a >= 0) return a;
-    const rtl::Cell& c = m.cells[static_cast<size_t>(cid)];
-    a = 0; // break cycles defensively (registers are never recursed into)
-    double in = 0;
-    for (int net : c.inputs) {
-      const int drv = m.nets[static_cast<size_t>(net)].driver;
+  // Folds the known arrivals of `cid`'s fan-in from input `i` on into `in`.
+  // Returns the first unvisited driver (marking it visited), or -1 after
+  // storing the cell's arrival.
+  auto advance = [&](int cid, size_t& i, double& in) -> int {
+    const std::vector<int>& inputs = m.cells[static_cast<size_t>(cid)].inputs;
+    for (; i < inputs.size(); ++i) {
+      const int drv = m.nets[static_cast<size_t>(inputs[i])].driver;
       if (drv < 0) continue; // module input
-      const rtl::Cell& dc = m.cells[static_cast<size_t>(drv)];
-      if (dc.kind == rtl::CellKind::Reg || dc.kind == rtl::CellKind::Const) continue;
-      in = std::max(in, arrivalOf(drv) + opt.routingPerHopNs);
+      const rtl::CellKind dk = m.cells[static_cast<size_t>(drv)].kind;
+      if (dk == rtl::CellKind::Reg || dk == rtl::CellKind::Const) continue;
+      double& a = arrival[static_cast<size_t>(drv)];
+      if (a < 0) {
+        a = 0;
+        return drv;
+      }
+      in = std::max(in, a + opt.routingPerHopNs);
     }
-    a = in + cellDelay[static_cast<size_t>(cid)];
-    return a;
+    arrival[static_cast<size_t>(cid)] = in + cellDelay[static_cast<size_t>(cid)];
+    return -1;
   };
+  struct Frame {
+    int cell;
+    size_t nextInput;
+    double in;
+  };
+  std::vector<Frame> waiting;
+  for (const auto& root : m.cells) {
+    if (arrival[static_cast<size_t>(root.id)] >= 0) continue;
+    arrival[static_cast<size_t>(root.id)] = 0;
+    Frame cur{root.id, 0, 0};
+    for (;;) {
+      const int drv = advance(cur.cell, cur.nextInput, cur.in);
+      if (drv >= 0) { // finish the driver first, then revisit this input
+        waiting.push_back(cur);
+        cur = {drv, 0, 0};
+      } else if (!waiting.empty()) {
+        cur = waiting.back();
+        waiting.pop_back();
+      } else {
+        break;
+      }
+    }
+  }
 
   double worst = 0;
   std::string worstName = "(none)";
   for (const auto& c : m.cells) {
-    const double a = arrivalOf(c.id);
+    const double a = arrival[static_cast<size_t>(c.id)];
     if (a > worst) {
       worst = a;
       worstName = c.output >= 0 ? m.nets[static_cast<size_t>(c.output)].name : cellKindName(c.kind);
