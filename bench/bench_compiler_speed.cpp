@@ -1,6 +1,7 @@
 // Compiler-speed microbenchmarks (google-benchmark): end-to-end compile
-// time per Table 1 kernel, HDL emission and each back-end pass
-// (mir-optimize, build-datapath, retime, build-rtl) on its own, plus the
+// time per Table 1 kernel, HDL emission, ssa-build and each back-end pass
+// (mir-optimize, build-datapath, retime, build-rtl) on its own, the
+// synth::estimate mapper over the finished netlist, plus the
 // compile-time area estimation the unrolling heuristic relies on (ref [13]
 // reports < 1 ms — ours is far below that) and the cycle-accurate system
 // simulation rate.
@@ -15,6 +16,7 @@
 #include "frontend/sema.hpp"
 #include "hlir/transforms.hpp"
 #include "mir/passes.hpp"
+#include "mir/ssa.hpp"
 #include "kernels.hpp"
 #include "roccc/compiler.hpp"
 #include "roccc/driver.hpp"
@@ -127,6 +129,18 @@ CompileResult compileThrough(const BackendPoint& p, const std::string& lastPass)
 // the pass, then re-runs only that pass per iteration, on a fresh copy of
 // its input IR where the pass rewrites it in place (the copy is untimed).
 
+void BM_SsaBuild(benchmark::State& state, const char* kernel, int unroll) {
+  const CompileResult r = compileThrough(backendPoint(kernel, unroll), "canonicalize-effects");
+  if (!r.ok) state.SkipWithError("compile failed");
+  for (auto _ : state) {
+    state.PauseTiming();
+    mir::FunctionIR f = r.mir;
+    state.ResumeTiming();
+    mir::buildSSA(f);
+    benchmark::DoNotOptimize(f);
+  }
+}
+
 void BM_MirOptimize(benchmark::State& state, const char* kernel, int unroll) {
   const CompileResult r = compileThrough(backendPoint(kernel, unroll), "ssa-build");
   if (!r.ok) state.SkipWithError("compile failed");
@@ -177,15 +191,25 @@ void BM_BuildRtl(benchmark::State& state, const char* kernel, int unroll) {
   }
 }
 
+/// The Virtex-II mapper over the finished netlist (what roccc-cc reports
+/// and every cold explore point prices), with the default options.
+void BM_Estimate(benchmark::State& state, const char* kernel, int unroll) {
+  const CompileResult r = compileThrough(backendPoint(kernel, unroll), "build-rtl");
+  if (!r.ok) state.SkipWithError("compile failed");
+  for (auto _ : state) benchmark::DoNotOptimize(synth::estimate(r.module));
+}
+
 #define ROCCC_BACKEND_BENCH(fn)                              \
   BENCHMARK_CAPTURE(fn, dct_u1, "dct", 1);                   \
   BENCHMARK_CAPTURE(fn, square_root_u4, "square_root", 4);   \
   BENCHMARK_CAPTURE(fn, box3x3_u4, "box3x3", 4);             \
   BENCHMARK_CAPTURE(fn, bit_correlator_u4, "bit_correlator", 4)
+ROCCC_BACKEND_BENCH(BM_SsaBuild);
 ROCCC_BACKEND_BENCH(BM_MirOptimize);
 ROCCC_BACKEND_BENCH(BM_BuildDatapath);
 ROCCC_BACKEND_BENCH(BM_Retime);
 ROCCC_BACKEND_BENCH(BM_BuildRtl);
+ROCCC_BACKEND_BENCH(BM_Estimate);
 
 /// The nine Table 1 workloads as one CompileService batch, with the
 /// per-kernel options of bench_table1's rows (bench::kTable1Kernels).
