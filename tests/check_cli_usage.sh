@@ -2,7 +2,8 @@
 # Checks the command-line contract shared by the five tools (support/cli):
 # an unknown flag, a missing value, a value given to a flag and a malformed
 # or out-of-range value all exit 2 (usage) before any work is done; the
-# --opt=VALUE spelling works; --verilog FILE takes one input; and a negative
+# --opt=VALUE spelling works; --verilog FILE and the other single-design
+# output and report flags take one input; and a negative
 # --timeout-ms is still the deterministic-timeout knob (exit 3), not a usage
 # error.
 #
@@ -69,6 +70,22 @@ if [ -e "$tmp/two.v" ]; then
 fi
 expect 0 "$CC" "$tmp/k.c" --verilog="$tmp/k.v" -o "$tmp/k.vhd" --quiet
 [ -s "$tmp/k.v" ] || { echo "FAIL: roccc-cc --verilog wrote no Verilog" >&2; failures=$((failures + 1)); }
+# Batch mode (more than one input) writes each <input>.vhd and prints status
+# lines only, so every flag that names one output file or reports on one
+# design exits 2 before anything is compiled or written.
+mkdir "$tmp/batch"
+cp "$tmp/k.c" "$tmp/batch/b1.c"
+cp "$tmp/k.c" "$tmp/batch/b2.c"
+for flag in "-o $tmp/batch/out.vhd" "--json $tmp/batch/dp.json" "--testbench" "--cosim" \
+            "--vcd $tmp/batch/w.vcd" "--dump-datapath" "--dump-mir" "--time-passes"; do
+  # shellcheck disable=SC2086
+  expect 2 "$CC" --quiet $flag "$tmp/batch/b1.c" "$tmp/batch/b2.c"
+done
+written=$(ls "$tmp/batch" | grep -v '^b[12]\.c$')
+if [ -n "$written" ]; then
+  echo "FAIL: roccc-cc with a single-input flag and two inputs wrote: $written" >&2
+  failures=$((failures + 1))
+fi
 
 # roccc-ccd: only malformed command lines (a valid one starts a daemon).
 for bad in "--target-ns abc" "--target-ns nan" "--target-ns 0" "--jobs x" "--queue 0" \

@@ -30,6 +30,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dp/annotate.hpp"
@@ -357,10 +358,24 @@ int main(int argc, char** argv) {
   }
 
   if (a.inputs.size() > 1) {
-    if (!a.output.empty() || !a.verilogPath.empty()) {
-      std::fprintf(stderr, "error: -o/--verilog are incompatible with multiple inputs "
-                           "(each writes its own <input>.vhd)\n");
-      return 2;
+    // Flags that name one output file or report on one design: a batch
+    // writes its own <input>.vhd per input and prints only status lines.
+    const std::pair<bool, const char*> singleInputOnly[] = {
+        {!a.output.empty(), "-o"},
+        {!a.verilogPath.empty(), "--verilog"},
+        {!a.jsonPath.empty(), "--json"},
+        {a.testbench, "--testbench"},
+        {!a.vcdPath.empty(), "--vcd"},
+        {a.cosim, "--cosim"},
+        {a.dumpDatapath, "--dump-datapath"},
+        {a.dumpMir, "--dump-mir"},
+        {a.timePasses, "--time-passes"},
+    };
+    for (const auto& [given, flag] : singleInputOnly) {
+      if (!given) continue;
+      std::fprintf(stderr, "error: %s takes a single input (batch mode writes each "
+                           "<input>.vhd and prints status lines only)\n", flag);
+      return usage(argv[0]);
     }
     return runBatch(a);
   }
