@@ -22,12 +22,14 @@ void buildSSA(FunctionIR& f) {
       if (in.hasDst()) ++defCount[static_cast<size_t>(in.dst)];
     }
   }
+  // Renaming mints registers past nRegs; only these original ones are
+  // renamed.
+  auto isRenamed = [&](int r) {
+    return static_cast<size_t>(r) < nRegs && defCount[static_cast<size_t>(r)] > 1;
+  };
   std::vector<int> multiDef;
-  std::vector<char> renamed(nRegs, 0);
-  for (size_t r = 0; r < nRegs; ++r) {
-    if (defCount[r] < 2) continue;
-    multiDef.push_back(static_cast<int>(r));
-    renamed[r] = 1;
+  for (int r = 0; r < static_cast<int>(nRegs); ++r) {
+    if (isRenamed(r)) multiDef.push_back(r);
   }
 
   // Their definition blocks, distinct and ascending (blocks scan in id
@@ -35,7 +37,7 @@ void buildSSA(FunctionIR& f) {
   std::vector<std::vector<int>> defBlocks(nRegs);
   for (const auto& b : f.blocks) {
     for (const auto& in : b.instrs) {
-      if (!in.hasDst() || !renamed[static_cast<size_t>(in.dst)]) continue;
+      if (!isRenamed(in.dst)) continue;
       auto& blocks = defBlocks[static_cast<size_t>(in.dst)];
       if (blocks.empty() || blocks.back() != b.id) blocks.push_back(b.id);
     }
@@ -109,9 +111,6 @@ void buildSSA(FunctionIR& f) {
     if (dt.idom[b] >= 0) domChildren[static_cast<size_t>(dt.idom[b])].push_back(static_cast<int>(b));
   }
 
-  // Renaming mints registers past nRegs; only the original multi-def ones
-  // are renamed.
-  auto isRenamed = [&](int r) { return static_cast<size_t>(r) < nRegs && renamed[static_cast<size_t>(r)]; };
   std::vector<std::vector<int>> stacks(nRegs); // original reg -> stack of versions
   std::vector<int> versionCount(nRegs, 0);
   std::vector<int> pushed; // original regs whose stacks grew, in push order
@@ -136,7 +135,7 @@ void buildSSA(FunctionIR& f) {
           if (o.isReg() && isRenamed(o.reg)) o.reg = top(o.reg);
         }
       }
-      if (in.hasDst() && isRenamed(in.dst)) {
+      if (isRenamed(in.dst)) {
         const int orig = in.dst;
         const int v = versionCount[static_cast<size_t>(orig)]++;
         const int newReg =

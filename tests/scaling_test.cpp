@@ -1,12 +1,12 @@
 // Cost contract for two layers every compile or report touches: ssa-build
 // and synth::estimate do linear work (docs/ARCHITECTURE.md, "Cost
-// contracts").
+// contract").
 //
 // Each kernel family is generated at n and 4n. A layer's time is the
 // fastest of five runs in this process (ssa-build's PassStatistics::wallMs,
 // and a timed synth::estimate of the compiled module). A linear layer grows
-// about 4x per 4x of input and a quadratic one 16x; this host's speed drifts
-// up to 2x, so the bound is 8x.
+// about 4x per 4x of input and a quadratic one 16x; a shared machine's speed
+// can drift up to 2x between runs, so the bound is 8x.
 //
 //   - straight-line: `x = (x ^ B[i]) + k;` n times, then `S[i] = x + A[i]`.
 //     One long MIR block, and a pipeline with an n-stage A[i] register chain

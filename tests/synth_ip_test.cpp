@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "ip/ip.hpp"
@@ -81,6 +82,71 @@ TEST(Synth, RomSizingDistributedVsBram) {
   EXPECT_EQ(small.res.lut4, 256 / 16 * 16);
   const auto big = synth::estimate(romModule(4096)); // 64 kbit > threshold
   EXPECT_GT(big.res.bram, 0);
+}
+
+/// A chain of `depth` adders (or registers) on one input, its cells added in
+/// data-flow order or reversed; the cell ids follow insertion order.
+rtl::Module chainModule(rtl::CellKind kind, int depth, bool reversed) {
+  rtl::Module m;
+  m.name = "chain";
+  const ScalarType t = ScalarType::make(16, true);
+  const int a = m.addNet(t, "a");
+  m.inputPorts = {a};
+  m.inputNames = {"a"};
+  std::vector<int> nets = {a};
+  for (int k = 1; k <= depth; ++k) nets.push_back(m.addNet(t, fmt("s%0", k)));
+  for (int j = 0; j < depth; ++j) {
+    const int k = reversed ? depth - j : j + 1;
+    std::vector<int> inputs = {nets[static_cast<size_t>(k - 1)]};
+    if (kind == rtl::CellKind::Add) inputs.push_back(a);
+    m.addCell(kind, inputs, nets[static_cast<size_t>(k)]);
+  }
+  m.outputPorts = {nets.back()};
+  m.outputNames = {"o"};
+  return m;
+}
+
+TEST(Synth, CriticalPathDoesNotDependOnCellOrder) {
+  const auto forward = synth::estimate(chainModule(rtl::CellKind::Add, 40, false));
+  const auto reversed = synth::estimate(chainModule(rtl::CellKind::Add, 40, true));
+  const auto single = synth::estimate(chainModule(rtl::CellKind::Add, 1, false));
+  EXPECT_EQ(forward.criticalPathNs, reversed.criticalPathNs);
+  EXPECT_EQ(forward.dynamicPjPerCycle, reversed.dynamicPjPerCycle);
+  EXPECT_EQ(forward.criticalThrough, "s40");
+  EXPECT_EQ(reversed.criticalThrough, "s40");
+  EXPECT_GT(forward.criticalPathNs, single.criticalPathNs);
+}
+
+TEST(Synth, Srl16ChainsDoNotDependOnCellOrder) {
+  const auto forward = synth::estimate(chainModule(rtl::CellKind::Reg, 20, false));
+  const auto reversed = synth::estimate(chainModule(rtl::CellKind::Reg, 20, true));
+  EXPECT_EQ(forward.res.srl16, 16 * 2); // depth 19 -> two SRL16s per bit
+  EXPECT_EQ(forward.res.ff, 16);        // the chain's output register
+  EXPECT_EQ(reversed.res.srl16, forward.res.srl16);
+  EXPECT_EQ(reversed.res.ff, forward.res.ff);
+}
+
+TEST(Synth, CombinationalLoopIsBrokenAtTheFirstCellReached) {
+  // n0 = n1 + a, n1 = n0 + a: the walk from n0's adder reads n0 as 0 when
+  // the loop comes back to it.
+  rtl::Module m;
+  m.name = "loop";
+  const ScalarType t = ScalarType::make(16, true);
+  const int a = m.addNet(t, "a");
+  m.inputPorts = {a};
+  m.inputNames = {"a"};
+  const int n0 = m.addNet(t, "n0");
+  const int n1 = m.addNet(t, "n1");
+  m.addCell(rtl::CellKind::Add, {n1, a}, n0);
+  m.addCell(rtl::CellKind::Add, {n0, a}, n1);
+  m.outputPorts = {n0};
+  m.outputNames = {"o"};
+  const synth::EstimateOptions opt;
+  const double d = synth::TimingModel::virtex2().cost(synth::Primitive::Add, 16).delayNs;
+  const double r = opt.routingPerHopNs;
+  const auto rep = synth::estimate(m, opt);
+  EXPECT_EQ(rep.criticalThrough, "n0");
+  EXPECT_EQ(rep.criticalPathNs, std::max(0.8, ((r + d) + r) + d) + opt.clockingOverheadNs);
 }
 
 // --- IP functional checks ------------------------------------------------------------
