@@ -31,10 +31,6 @@ bool primitiveForOpcode(Opcode op, BuildOptions::MultStyle style, synth::Primiti
       out = style == BuildOptions::MultStyle::Mult18 ? synth::Primitive::Mul18
                                                      : synth::Primitive::MulLut;
       return true;
-    case Opcode::Div:
-    case Opcode::Rem:
-      out = synth::Primitive::Div;
-      return true;
     case Opcode::And:
     case Opcode::Or:
     case Opcode::Xor:
@@ -384,11 +380,7 @@ class Builder {
             break; // control flow is encoded by the mux nodes
           case Opcode::Div:
           case Opcode::Rem:
-            if (opt_.expandDividers) {
-              regValue_[static_cast<size_t>(in.dst)] = emitRestoringDivider(in, in.op == Opcode::Rem, nodeFor());
-              break;
-            }
-            placeGenericOp(in, nodeFor());
+            regValue_[static_cast<size_t>(in.dst)] = emitRestoringDivider(in, in.op == Opcode::Rem, nodeFor());
             break;
           case Opcode::Mul: {
             // 'LUT' multiplier style: decompose constant multiplications
@@ -488,6 +480,8 @@ class Builder {
   /// BitCat/compare/subtract/mux row per quotient bit, MSB first. The
   /// generic latch placement pipelines the rows. Matches the simulator's
   /// division convention exactly (q=all-ones, r=dividend when divisor==0).
+  /// Every Div/Rem becomes such an array: this is how the compiler's udiv
+  /// beats the hand IP's clock rate at about 3x its area (Table 1).
   int emitRestoringDivider(const mir::Instr& in, bool isRem, int node) {
     const ScalarType rt = in.type;
     const int nVal = valueOf(in.srcs[0], rt, node);
@@ -748,16 +742,6 @@ class Builder {
         case Opcode::Add: r = rng(0).add(rng(1)).convertTo(declared); break;
         case Opcode::Sub: r = rng(0).sub(rng(1)).convertTo(declared); break;
         case Opcode::Mul: r = rng(0).mul(rng(1)).convertTo(declared); break;
-        case Opcode::Div:
-          // Divide-by-zero yields all-ones at the result width; if the
-          // divisor may be zero the hull must cover that.
-          if (rng(1).contains(0)) {
-            r = ValueRange::ofType(declared);
-          } else {
-            r = rng(0).divide(rng(1)).convertTo(declared);
-          }
-          break;
-        case Opcode::Rem: r = rng(0).rem(rng(1)).convertTo(declared); break;
         case Opcode::Neg: r = rng(0).neg().convertTo(declared); break;
         case Opcode::And: r = rng(0).bitAnd(rng(1)).convertTo(declared); break;
         case Opcode::Or: r = rng(0).bitOr(rng(1)).convertTo(declared); break;

@@ -257,7 +257,7 @@ bool inductionDrivesArrayAccess(const ForStmt& f) {
 
 } // namespace
 
-int fullyUnrollInnerLoops(Module& m, Function& fn, DiagEngine& diags, int64_t maxTrip) {
+int fullyUnrollInnerLoops(Module& m, Function& fn, DiagEngine& diags) {
   int unrolled = 0;
   // Walk top-level statements; for each top-level loop, unroll every loop
   // strictly inside its body whose induction variable stays out of array
@@ -269,7 +269,7 @@ int fullyUnrollInnerLoops(Module& m, Function& fn, DiagEngine& diags, int64_t ma
       if (inner->kind != StmtKind::For) return;
       auto& f = static_cast<ForStmt&>(*inner);
       if (inductionDrivesArrayAccess(f)) return;
-      if (StmtPtr repl = buildFullUnroll(f, maxTrip)) {
+      if (StmtPtr repl = buildFullUnroll(f, kMaxInnerUnrollTrip)) {
         inner = std::move(repl);
         ++unrolled;
       }
@@ -611,7 +611,7 @@ bool isPureUnaryFn(const Module& m, const Function& f) {
 
 } // namespace
 
-int convertCallsToLookupTables(Module& m, DiagEngine& diags, int maxIndexBits) {
+int convertCallsToLookupTables(Module& m, DiagEngine& diags) {
   faultpoint("hlir.lut-convert");
   int converted = 0;
   std::set<std::string> tablesBuilt;
@@ -625,7 +625,7 @@ int convertCallsToLookupTables(Module& m, DiagEngine& diags, int maxIndexBits) {
       if (!callee || !isPureUnaryFn(m, *callee)) return;
       const ScalarType inTy = callee->params[0].type.scalar;
       const ScalarType outTy = callee->params[1].type.scalar;
-      if (inTy.width > maxIndexBits) return;
+      if (inTy.width > kLutMaxIndexBits) return;
       if (call.args[1]->kind != ExprKind::VarRef) return;
 
       const std::string tableName = call.callee + "_lut";

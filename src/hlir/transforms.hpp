@@ -25,11 +25,15 @@ int constantFold(ast::Module& m, DiagEngine& diags);
 /// first. Returns the number of loops unrolled.
 int fullyUnrollLoops(ast::Module& m, ast::Function& fn, DiagEngine& diags, int64_t maxTrip = 1024);
 
+/// Largest trip count fullyUnrollInnerLoops expands.
+constexpr int64_t kMaxInnerUnrollTrip = 256;
+
 /// Fully unrolls loops nested *inside* another loop (the streaming loop
-/// stays; per-element inner loops such as bit_correlator's bit scan become
-/// straight-line code the data-path generator accepts). Returns the number
-/// of loops unrolled.
-int fullyUnrollInnerLoops(ast::Module& m, ast::Function& fn, DiagEngine& diags, int64_t maxTrip = 1024);
+/// stays; per-element inner loops such as bit_correlator's bit scan or
+/// square root's digit recurrence become straight-line code the data-path
+/// generator accepts) whose trip count is at most kMaxInnerUnrollTrip.
+/// Returns the number of loops unrolled.
+int fullyUnrollInnerLoops(ast::Module& m, ast::Function& fn, DiagEngine& diags);
 
 /// Partially unrolls the *innermost* loop of `fn` by `factor`. The trip
 /// count must be a constant divisible by `factor`. After this transform the
@@ -51,12 +55,15 @@ int fuseAdjacentLoops(ast::Module& m, ast::Function& fn, DiagEngine& diags);
 /// inlined.
 int inlineCalls(ast::Module& m, DiagEngine& diags);
 
+/// Widest argument type convertCallsToLookupTables tabulates.
+constexpr int kLutMaxIndexBits = 10;
+
 /// Converts calls to pure single-input functions into ROCCC_lookup on a
 /// synthesized const table, evaluating the callee over the full input
 /// domain with the interpreter ("whenever feasible made into a lookup
-/// table"). Only applies when the argument type has at most `maxIndexBits`
-/// bits. Returns number of calls converted.
-int convertCallsToLookupTables(ast::Module& m, DiagEngine& diags, int maxIndexBits = 10);
+/// table"). Only applies when the argument type has at most
+/// kLutMaxIndexBits bits. Returns number of calls converted.
+int convertCallsToLookupTables(ast::Module& m, DiagEngine& diags);
 
 /// Compile-time area estimation over the AST (ref [13]: "<1 ms, within 5%"):
 /// a fast operator census used to drive unroll-factor selection before any

@@ -20,7 +20,8 @@ namespace roccc {
 // serialization below. Old tier-2 stores then read as silent misses.
 // v3: every entry serializes a `derived` blob.
 // v4: the keyed emitVerilog option; entries carry Verilog only when asked.
-const char* const kCacheSchema = "roccc-cache-v4";
+// v5: four single-valued keyed options became constants (21 keyed rows).
+const char* const kCacheSchema = "roccc-cache-v5";
 
 // --- key derivation ----------------------------------------------------------
 

@@ -78,8 +78,7 @@ PassManager Compiler::buildPipeline() const {
   // feasible pure unary callees become ROMs, everything left is inlined.
   pm.addPass({"lut-convert", PassLayer::Hlir,
               [](PassContext& ctx, PassStatistics& st) {
-                const int luts = hlir::convertCallsToLookupTables(ctx.module, ctx.diags(),
-                                                                  ctx.options.lutMaxIndexBits);
+                const int luts = hlir::convertCallsToLookupTables(ctx.module, ctx.diags());
                 st.add("lut-converted", luts);
                 return !ctx.diags().hasErrors();
               },
@@ -96,14 +95,11 @@ PassManager Compiler::buildPipeline() const {
                 st.add("fused", hlir::fuseAdjacentLoops(ctx.module, *ctx.kernel(), ctx.diags()));
                 return !ctx.diags().hasErrors();
               }});
-  pm.addPass({"unroll-inner-full", PassLayer::Hlir,
-              [](PassContext& ctx, PassStatistics& st) {
+  pm.addPass({"unroll-inner-full", PassLayer::Hlir, [](PassContext& ctx, PassStatistics& st) {
                 st.add("inner-unrolled",
-                       hlir::fullyUnrollInnerLoops(ctx.module, *ctx.kernel(), ctx.diags(),
-                                                   ctx.options.maxInnerUnrollTrip));
+                       hlir::fullyUnrollInnerLoops(ctx.module, *ctx.kernel(), ctx.diags()));
                 return !ctx.diags().hasErrors();
-              },
-              opts.fullUnrollInnerLoops});
+              }});
   pm.addPass({"unroll", PassLayer::Hlir, [](PassContext& ctx, PassStatistics& st) {
                 faultpoint("hlir.unroll");
                 int unrollFactor = ctx.options.unrollFactor;

@@ -53,14 +53,9 @@ struct CompileOptions {
   /// power-of-two whose compile-time area estimate (ref [13]) fits this
   /// many slices. Overrides unrollFactor.
   int64_t autoUnrollSliceBudget = 0;
-  /// Fully unroll loops nested inside the streaming loop (bit_correlator's
-  /// per-bit scan, square root's digit recurrence, ...).
-  bool fullUnrollInnerLoops = true;
-  int64_t maxInnerUnrollTrip = 256;
   /// Convert pure unary callees into lookup tables ("whenever feasible made
   /// into a lookup table", section 2).
   bool convertCallsToLuts = true;
-  int lutMaxIndexBits = 10;
   /// Run the circuit-level scalar optimizations (constant propagation,
   /// copy propagation, CSE, DCE, strength reduction).
   bool optimize = true;

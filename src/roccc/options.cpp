@@ -28,17 +28,9 @@ constexpr OptionField kFields[] = {
     {"autoUnrollSliceBudget", true, nullptr, nullptr, nullptr,
      "pick the largest unroll fitting this many slices (0 = off)", 0, {},
      [](CompileOptions& o) -> OptionRef { return &o.autoUnrollSliceBudget; }},
-    {"fullUnrollInnerLoops", true, nullptr, nullptr, nullptr,
-     "fully unroll loops nested in the streaming loop", kAny, {},
-     [](CompileOptions& o) -> OptionRef { return &o.fullUnrollInnerLoops; }},
-    {"maxInnerUnrollTrip", true, nullptr, nullptr, nullptr,
-     "largest trip count of a fully unrolled inner loop", 0, {},
-     [](CompileOptions& o) -> OptionRef { return &o.maxInnerUnrollTrip; }},
     {"convertCallsToLuts", true, nullptr, nullptr, "lutConvert",
      "turn pure unary callees into lookup tables", kAny, {},
      [](CompileOptions& o) -> OptionRef { return &o.convertCallsToLuts; }},
-    {"lutMaxIndexBits", true, nullptr, nullptr, nullptr, "largest lookup-table index width",
-     0, {}, [](CompileOptions& o) -> OptionRef { return &o.lutMaxIndexBits; }},
     {"optimize", true, nullptr, nullptr, "optimize", "run the circuit-level scalar optimizations",
      kAny, {}, [](CompileOptions& o) -> OptionRef { return &o.optimize; }},
     {"dp.targetStageDelayNs", true, "--target-ns", "X", "targetNs",
@@ -56,9 +48,6 @@ constexpr OptionField kFields[] = {
     {"dp.multStyle", true, "--mult-style", "S", "multStyle",
      "multiplier style: 'lut' (default) or 'mult18'", kAny, kMultStyles,
      [](CompileOptions& o) -> OptionRef { return &o.dpOptions.multStyle; }},
-    {"dp.expandDividers", true, nullptr, nullptr, nullptr,
-     "expand division into a restoring-divider array", kAny, {},
-     [](CompileOptions& o) -> OptionRef { return &o.dpOptions.expandDividers; }},
     // verifyEach is semantic at the margin: it can turn a latent invariant
     // break into a structured failure, so verified and unverified compiles
     // must not share an entry.
@@ -108,14 +97,13 @@ constexpr OptionField kFields[] = {
 // that many fields, so a new field fails the build here until it has a
 // row above (and the counts are updated).
 [[maybe_unused]] void checkEveryFieldHasARow(CompileOptions& o) {
-  [[maybe_unused]] auto& [kernel, unroll, autoUnroll, fullUnroll, maxTrip, luts, lutBits,
-                          optimize, dp, retime, timingModel, verilog, pipeline, budget,
-                          fault] = o;
-  [[maybe_unused]] auto& [target, pipe, infer, widthMode, multStyle, dividers] = o.dpOptions;
+  [[maybe_unused]] auto& [kernel, unroll, autoUnroll, luts, optimize, dp, retime, timingModel,
+                          verilog, pipeline, budget, fault] = o;
+  [[maybe_unused]] auto& [target, pipe, infer, widthMode, multStyle] = o.dpOptions;
   [[maybe_unused]] auto& [verifyEach, printAfterAll, printAfter] = o.pipeline;
   [[maybe_unused]] auto& [timeoutMs, maxIrNodes, maxUnrollProduct, maxDepth] = o.budget;
 }
-static_assert(std::size(kFields) == (15 - 3) + 6 + 3 + 4, "one row per leaf field");
+static_assert(std::size(kFields) == (12 - 3) + 5 + 3 + 4, "one row per leaf field");
 
 template <class T>
 void appendInt(std::string& out, T v) {

@@ -18,8 +18,6 @@ CellKind cellFor(Opcode op) {
     case Opcode::Add: return CellKind::Add;
     case Opcode::Sub: return CellKind::Sub;
     case Opcode::Mul: return CellKind::Mul;
-    case Opcode::Div: return CellKind::Div;
-    case Opcode::Rem: return CellKind::Rem;
     case Opcode::Neg: return CellKind::Neg;
     case Opcode::And: return CellKind::And;
     case Opcode::Or: return CellKind::Or;

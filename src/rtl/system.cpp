@@ -235,8 +235,7 @@ interp::KernelIO System::run(const interp::KernelIO& io) {
   }
   std::vector<OutputCollector> collectors;
   for (const auto& st : kernel_.outputs) {
-    const int bus = opt_.outputBusElems > 0 ? opt_.outputBusElems : st.accessCount();
-    collectors.emplace_back(st, walker, bus);
+    collectors.emplace_back(st, walker, st.accessCount()); // one window per clock
   }
 
   // --- port wiring ----------------------------------------------------------------

@@ -83,7 +83,6 @@ StreamStep interpreterStep(const hlir::KernelInfo& kernel, const dp::DataPath& d
 
 struct SystemOptions {
   int inputBusElems = 1;   ///< elements each smart buffer fetches per clock
-  int outputBusElems = 0;  ///< 0: wide enough for one window per clock
   bool useSmartBuffer = true; ///< false: naive re-fetching buffer (ablation)
   /// Which netlist engine clocks the data path. Fast is the compiled
   /// slot-indexed engine (rtl/fastsim.hpp); Reference is the boxed-Value

@@ -31,6 +31,10 @@ int64_t slicesFor(const Resources& r) {
 
 namespace {
 
+/// ROM contents above this many bits go to block RAM instead of distributed
+/// (LUT) ROM.
+constexpr int64_t kRomBramThresholdBits = 16 * 1024;
+
 struct CellCost {
   Resources res;
   double delayNs = 0;
@@ -115,12 +119,6 @@ CellCost cost(const rtl::Module& m, const rtl::Cell& c, const EstimateOptions& o
       energyFromRes();
       return k;
     }
-    case rtl::CellKind::Div:
-    case rtl::CellKind::Rem:
-      // Un-expanded combinational array divider (only reachable with
-      // expandDividers=false): the table row prices the full W-row array.
-      fromRow(Primitive::Div, effectiveWidth(m, c, 0));
-      return k;
     case rtl::CellKind::And:
     case rtl::CellKind::Or:
     case rtl::CellKind::Xor:
@@ -152,7 +150,7 @@ CellCost cost(const rtl::Module& m, const rtl::Cell& c, const EstimateOptions& o
       return k;
     case rtl::CellKind::Rom: {
       const int64_t bits = static_cast<int64_t>(c.romData.size()) * w;
-      if (bits > opt.romBramThresholdBits) {
+      if (bits > kRomBramThresholdBits) {
         k.res.bram = (bits + 18 * 1024 - 1) / (18 * 1024);
         k.delayNs = tm.bramAccessNs;
       } else {
@@ -268,7 +266,7 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
         a = 0;
         return drv;
       }
-      in = std::max(in, a + opt.routingPerHopNs);
+      in = std::max(in, a + tm.routingPerHopNs);
     }
     arrival[static_cast<size_t>(cid)] = in + cellDelay[static_cast<size_t>(cid)];
     return -1;
@@ -306,7 +304,7 @@ Report estimate(const rtl::Module& m, const EstimateOptions& opt) {
       worstName = c.output >= 0 ? m.nets[static_cast<size_t>(c.output)].name : cellKindName(c.kind);
     }
   }
-  rep.criticalPathNs = std::max(0.8, worst) + opt.clockingOverheadNs;
+  rep.criticalPathNs = std::max(0.8, worst) + tm.clockOverheadNs;
   rep.criticalThrough = worstName;
   return rep;
 }

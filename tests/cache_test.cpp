@@ -104,10 +104,9 @@ TEST(CacheKey, CanonicalOptionBytesArePinned) {
   // The exact canonical option text behind every cache key. A change here
   // moves every key, so it must come with a kCacheSchema bump.
   const std::string kDefault =
-      "kernel=0:;unroll=1;autoUnrollSliceBudget=0;fullUnrollInnerLoops=1;"
-      "maxInnerUnrollTrip=256;convertCallsToLuts=1;lutMaxIndexBits=10;optimize=1;"
+      "kernel=0:;unroll=1;autoUnrollSliceBudget=0;convertCallsToLuts=1;optimize=1;"
       "dp.targetStageDelayNs=4010000000000000;dp.pipeline=1;dp.inferBitWidths=1;"
-      "dp.widthMode=1;dp.multStyle=0;dp.expandDividers=1;pipeline.verifyEach=0;"
+      "dp.widthMode=1;dp.multStyle=0;pipeline.verifyEach=0;"
       "budget.timeoutMs=0;budget.maxIrNodes=0;budget.maxUnrollProduct=0;budget.maxDepth=256;"
       "injectFaultAt=0:;retimePipeline=1;timingModelSpec=0:;emitVerilog=0;";
   EXPECT_EQ(canonicalizeOptions(CompileOptions{}), kDefault);
@@ -127,14 +126,8 @@ TEST(CacheKey, CanonicalOptionBytesArePinned) {
       {"unrollFactor", [](CompileOptions& o) { o.unrollFactor = 4; }, "unroll=1;", "unroll=4;"},
       {"autoUnrollSliceBudget", [](CompileOptions& o) { o.autoUnrollSliceBudget = 500; },
        "autoUnrollSliceBudget=0;", "autoUnrollSliceBudget=500;"},
-      {"fullUnrollInnerLoops", [](CompileOptions& o) { o.fullUnrollInnerLoops = false; },
-       "fullUnrollInnerLoops=1;", "fullUnrollInnerLoops=0;"},
-      {"maxInnerUnrollTrip", [](CompileOptions& o) { o.maxInnerUnrollTrip = 64; },
-       "maxInnerUnrollTrip=256;", "maxInnerUnrollTrip=64;"},
       {"convertCallsToLuts", [](CompileOptions& o) { o.convertCallsToLuts = false; },
        "convertCallsToLuts=1;", "convertCallsToLuts=0;"},
-      {"lutMaxIndexBits", [](CompileOptions& o) { o.lutMaxIndexBits = 8; }, "lutMaxIndexBits=10;",
-       "lutMaxIndexBits=8;"},
       {"optimize", [](CompileOptions& o) { o.optimize = false; }, "optimize=1;", "optimize=0;"},
       {"dp.targetStageDelayNs", [](CompileOptions& o) { o.dpOptions.targetStageDelayNs = 7.5; },
        "dp.targetStageDelayNs=4010000000000000;", "dp.targetStageDelayNs=401e000000000000;"},
@@ -148,8 +141,6 @@ TEST(CacheKey, CanonicalOptionBytesArePinned) {
       {"dp.multStyle",
        [](CompileOptions& o) { o.dpOptions.multStyle = BuildOptions::MultStyle::Mult18; },
        "dp.multStyle=0;", "dp.multStyle=1;"},
-      {"dp.expandDividers", [](CompileOptions& o) { o.dpOptions.expandDividers = false; },
-       "dp.expandDividers=1;", "dp.expandDividers=0;"},
       {"retimePipeline", [](CompileOptions& o) { o.retimePipeline = false; }, "retimePipeline=1;",
        "retimePipeline=0;"},
       {"timingModelSpec", [](CompileOptions& o) { o.timingModelSpec = "clock-overhead-ns 1.1\n"; },
@@ -173,7 +164,7 @@ TEST(CacheKey, CanonicalOptionBytesArePinned) {
       {"emitVerilog", [](CompileOptions& o) { o.emitVerilog = true; }, "emitVerilog=0;",
        "emitVerilog=1;"},
   };
-  EXPECT_EQ(std::size(cases), 25u);
+  EXPECT_EQ(std::size(cases), 21u);
   for (const Case& c : cases) {
     CompileOptions o;
     c.mutate(o);

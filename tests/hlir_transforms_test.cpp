@@ -292,7 +292,7 @@ TEST(LutConversion, RespectsWidthLimit) {
     void k(uint16 a, int16* o) { int16 t; t = 0; f(a, t); *o = t; }
   )");
   DiagEngine diags;
-  EXPECT_EQ(convertCallsToLookupTables(m, diags, /*maxIndexBits=*/10), 0);
+  EXPECT_EQ(convertCallsToLookupTables(m, diags), 0); // uint16 > kLutMaxIndexBits
 }
 
 TEST(LutConversion, SignedInputIndexedByRawBits) {

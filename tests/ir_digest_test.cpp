@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <string>
 
 #include "design_points.hpp"
@@ -85,6 +86,27 @@ TEST(IrDigests, EveryDesignPointMatchesPinnedDecisions) {
   std::ifstream in(kDigestPath, std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing " << kDigestPath << " — regenerate with --update-goldens";
   for (const auto& m : testpoints::factMismatches(testpoints::readFacts(in), actual)) ADD_FAILURE() << m;
+}
+
+TEST(IrDigests, NoDataPathHoldsADivider) {
+  // Division is always expanded into a restoring-divider array: the MIR of
+  // udiv and box3x3 divides, their data paths never do.
+  auto divides = [](mir::Opcode op) { return op == mir::Opcode::Div || op == mir::Opcode::Rem; };
+  std::set<std::string> dividingKernels;
+  for (const auto& p : testpoints::designPoints()) {
+    const CompileResult r = Compiler(p.options).compileSource(p.source);
+    ASSERT_TRUE(r.ok) << p.label << ":\n" << r.diags.dump();
+    for (const auto& b : r.mir.blocks) {
+      for (const auto& in : b.instrs) {
+        if (divides(in.op)) dividingKernels.insert(p.label.substr(0, p.label.find('@')));
+      }
+    }
+    for (const auto& o : r.datapath.ops) {
+      EXPECT_FALSE(divides(o.op)) << p.label << ": " << mir::opcodeName(o.op);
+    }
+  }
+  EXPECT_TRUE(dividingKernels.count("udiv") && dividingKernels.count("box3x3"))
+      << "expected udiv and box3x3 to divide";
 }
 
 } // namespace

@@ -74,11 +74,10 @@ TEST(Pipeline, DisabledPassesAreRecordedAsSkipped) {
   CompileOptions opt;
   opt.optimize = false;
   opt.convertCallsToLuts = false;
-  opt.fullUnrollInnerLoops = false;
   const Compiler c(opt);
   const CompileResult r = c.compileSource(kFirSrc);
   ASSERT_TRUE(r.ok) << r.diags.dump();
-  for (const char* name : {"mir-optimize", "lut-convert", "unroll-inner-full"}) {
+  for (const char* name : {"mir-optimize", "lut-convert"}) {
     const PassStatistics* s = findPass(r.passLog, name);
     ASSERT_NE(s, nullptr) << name;
     EXPECT_FALSE(s->ran) << name;
@@ -231,7 +230,7 @@ TEST(Pipeline, HlirCountersMatchDirectTransformRuns) {
   DiagEngine diags;
   ast::Module m = ast::parse(kHelperSrc, diags);
   ASSERT_TRUE(ast::analyze(m, diags));
-  const int luts = hlir::convertCallsToLookupTables(m, diags, c.options().lutMaxIndexBits);
+  const int luts = hlir::convertCallsToLookupTables(m, diags);
   const int inlined = hlir::inlineCalls(m, diags);
   const int folded = hlir::constantFold(m, diags);
   ast::Function* kernel = m.findFunction("k");

@@ -56,13 +56,6 @@ TEST(Netlist, ArithmeticWrapsAtWidth) {
   EXPECT_EQ(evalBinary(CellKind::Mul, 64, 4, t), 0);
 }
 
-TEST(Netlist, DividerConvention) {
-  const ScalarType t = ScalarType::make(8, false);
-  EXPECT_EQ(evalBinary(CellKind::Div, 200, 7, t), 28);
-  EXPECT_EQ(evalBinary(CellKind::Div, 200, 0, t), 255);
-  EXPECT_EQ(evalBinary(CellKind::Rem, 200, 0, t), 200);
-}
-
 TEST(Netlist, RegisterHoldsAndEnables) {
   Module m;
   m.name = "reg";

@@ -141,12 +141,49 @@ TEST(Synth, CombinationalLoopIsBrokenAtTheFirstCellReached) {
   m.addCell(rtl::CellKind::Add, {n0, a}, n1);
   m.outputPorts = {n0};
   m.outputNames = {"o"};
-  const synth::EstimateOptions opt;
-  const double d = synth::TimingModel::virtex2().cost(synth::Primitive::Add, 16).delayNs;
-  const double r = opt.routingPerHopNs;
-  const auto rep = synth::estimate(m, opt);
+  const synth::TimingModel& tm = synth::TimingModel::virtex2();
+  const double d = tm.cost(synth::Primitive::Add, 16).delayNs;
+  const double r = tm.routingPerHopNs;
+  const auto rep = synth::estimate(m);
   EXPECT_EQ(rep.criticalThrough, "n0");
-  EXPECT_EQ(rep.criticalPathNs, std::max(0.8, ((r + d) + r) + d) + opt.clockingOverheadNs);
+  EXPECT_EQ(rep.criticalPathNs, std::max(0.8, ((r + d) + r) + d) + tm.clockOverheadNs);
+}
+
+TEST(Synth, EstimateReadsClockAndRoutingFromItsModel) {
+  // Two adders in series: one routing hop, and the clocking overhead on
+  // top. Setting only `timing` must price both from the model.
+  rtl::Module m;
+  m.name = "hop";
+  const ScalarType t = ScalarType::make(16, true);
+  const int a = m.addNet(t, "a");
+  m.inputPorts = {a};
+  m.inputNames = {"a"};
+  const int s0 = m.addNet(t, "s0");
+  const int s1 = m.addNet(t, "s1");
+  m.addCell(rtl::CellKind::Add, {a, a}, s0);
+  m.addCell(rtl::CellKind::Add, {s0, a}, s1);
+  m.outputPorts = {s1};
+  m.outputNames = {"s"};
+
+  synth::TimingModel model;
+  std::string error;
+  ASSERT_TRUE(synth::TimingModel::parse("clock-overhead-ns 1.8\nrouting-per-hop-ns 0.9\n", model,
+                                        error))
+      << error;
+  synth::EstimateOptions timingOnly;
+  timingOnly.timing = &model;
+  const auto got = synth::estimate(m, timingOnly);
+  const auto want = synth::estimate(m, synth::EstimateOptions::forModel(model));
+  EXPECT_EQ(got.criticalPathNs, want.criticalPathNs);
+  EXPECT_EQ(got.criticalThrough, want.criticalThrough);
+  EXPECT_EQ(got.slices, want.slices);
+  EXPECT_EQ(got.dynamicPjPerCycle, want.dynamicPjPerCycle);
+  EXPECT_EQ(got.leakageMw, want.leakageMw);
+
+  const double d = model.cost(synth::Primitive::Add, 16).delayNs;
+  EXPECT_EQ(got.criticalThrough, "s1");
+  EXPECT_EQ(got.criticalPathNs, std::max(0.8, (d + 0.9) + d) + 1.8);
+  EXPECT_GT(got.criticalPathNs, synth::estimate(m).criticalPathNs + 1.0);
 }
 
 // --- IP functional checks ------------------------------------------------------------

@@ -179,6 +179,48 @@ TEST(System, UnsignedDividerCosim) {
   expectCosim(src, in);
 }
 
+// Every Div/Rem is built as a restoring-divider array; run through FastSim
+// it keeps the interpreter's divide-by-zero convention (quotient all-ones,
+// remainder = dividend).
+interp::KernelIO divideOnFastSim(const std::string& elemType, std::vector<int64_t> n,
+                                 std::vector<int64_t> d) {
+  const std::string src = fmt(R"(
+    void divrem(const %0 N[4], const %0 D[4], %0 Q[4], %0 R[4]) {
+      int i;
+      for (i = 0; i < 4; i++) {
+        Q[i] = N[i] / D[i];
+        R[i] = N[i] % D[i];
+      }
+    }
+  )", elemType);
+  const CompileResult r = compile(src);
+  if (!r.ok) return {};
+  for (const auto& o : r.datapath.ops) {
+    EXPECT_TRUE(o.op != mir::Opcode::Div && o.op != mir::Opcode::Rem) << r.datapath.dump();
+  }
+  interp::KernelIO in;
+  in.arrays["N"] = std::move(n);
+  in.arrays["D"] = std::move(d);
+  rtl::SystemOptions fast;
+  fast.engine = rtl::SimEngine::Fast;
+  rtl::System sys(r.kernel, r.datapath, r.module, fast);
+  const interp::KernelIO out = sys.run(in);
+  EXPECT_TRUE(cosimulate(r, src, in, fast).match);
+  return out;
+}
+
+TEST(System, ExpandedUnsignedDividerKeepsTheZeroConvention) {
+  const interp::KernelIO out = divideOnFastSim("uint8", {200, 200, 255, 7}, {7, 0, 1, 200});
+  EXPECT_EQ(out.arrays.at("Q"), (std::vector<int64_t>{28, 255, 255, 0}));
+  EXPECT_EQ(out.arrays.at("R"), (std::vector<int64_t>{4, 200, 0, 7}));
+}
+
+TEST(System, ExpandedSignedDividerKeepsTheZeroConvention) {
+  const interp::KernelIO out = divideOnFastSim("int8", {-100, -100, 100, -128}, {7, 0, -7, -1});
+  EXPECT_EQ(out.arrays.at("Q"), (std::vector<int64_t>{-14, -1, -14, -128}));
+  EXPECT_EQ(out.arrays.at("R"), (std::vector<int64_t>{-2, -100, 2, 0}));
+}
+
 TEST(System, InnerLoopFullUnrollBitCorrelator) {
   // bit_correlator: inner per-bit loop fully unrolled by the compiler.
   const char* src = R"(
