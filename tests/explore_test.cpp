@@ -12,6 +12,7 @@
 
 #include "../bench/kernels.hpp"
 #include "roccc/cache.hpp"
+#include "support/json.hpp"
 
 namespace roccc {
 namespace {
@@ -339,6 +340,25 @@ TEST(ExploreDeterminism, BestConfigMinimizesRuntimeThenArea) {
   const PointMetrics& chosen = sweep.points[f.best].metrics;
   EXPECT_DOUBLE_EQ(static_cast<double>(chosen.cycles) * chosen.criticalPathNs, bestRuntime);
   EXPECT_NE(sweep.bestReport().find("fir"), std::string::npos);
+}
+
+TEST(ExploreReport, ControlCharactersInAPointErrorStayValidJson) {
+  SweepResult sweep;
+  SweepPointResult p;
+  p.point.kernel = "k";
+  p.point.label = "k@u1";
+  p.outcome = PointOutcome::SimError;
+  p.error = std::string("bad\x01") + "tail\n\"quoted\"";
+  sweep.points.push_back(p);
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::parse(sweep.toJson(), doc, error)) << error << "\n" << sweep.toJson();
+  const json::Value* results = doc.find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_EQ(results->items().size(), 1u);
+  const json::Value* got = results->items()[0].find("error");
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->asString(), p.error);
 }
 
 TEST(ExploreDeterminism, OutcomeSummaryCountsEveryPoint) {
