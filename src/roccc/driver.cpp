@@ -69,6 +69,17 @@ CompileResult runContainedJob(const CompileJob& job) {
   }
 }
 
+CompileResult runCachedJob(const CompileJob& job, CompileCache* cache, bool* wasHit) {
+  if (wasHit) *wasHit = false;
+  // With a cache attached the job first derives its content-addressed key
+  // (on the worker thread — hashing is part of the job, not the submit
+  // loop); getOrCompute single-flights concurrent identical jobs onto one
+  // compile. Without one, the job body runs unconditionally.
+  if (!cache) return runContainedJob(job);
+  const std::string key = computeCacheKey(job.source, job.options);
+  return cache->getOrCompute(key, job.options, [&job] { return runContainedJob(job); }, wasHit);
+}
+
 CompileService::CompileService(int workers) : workers_(workers) {
   if (workers_ <= 0) {
     workers_ = std::max(1u, std::thread::hardware_concurrency());
@@ -76,14 +87,7 @@ CompileService::CompileService(int workers) : workers_(workers) {
 }
 
 CompileResult CompileService::compile(const CompileJob& job, bool* wasHit) const {
-  if (wasHit) *wasHit = false;
-  // With a cache attached the job first derives its content-addressed key
-  // (on the worker thread — hashing is part of the job, not the submit
-  // loop); getOrCompute single-flights concurrent identical jobs onto one
-  // compile. Without one, the job body runs unconditionally.
-  if (!cache_) return runContainedJob(job);
-  const std::string key = computeCacheKey(job.source, job.options);
-  return cache_->getOrCompute(key, job.options, [&job] { return runContainedJob(job); }, wasHit);
+  return runCachedJob(job, cache_.get(), wasHit);
 }
 
 void CompileService::forEach(size_t n, const std::function<void(size_t)>& task) const {

@@ -81,6 +81,13 @@ struct BatchResult {
 /// daemon-served compile byte-identical to a CLI one by construction.
 CompileResult runContainedJob(const CompileJob& job);
 
+/// One job on the calling thread: through `cache` when it is non-null (key
+/// on this thread, then getOrCompute, single-flighted) or straight through
+/// runContainedJob. `wasHit`, when non-null, says whether the result came
+/// from the cache — and so carries no IR. CompileService::compile and the
+/// daemon's jobs all go through here.
+CompileResult runCachedJob(const CompileJob& job, CompileCache* cache, bool* wasHit = nullptr);
+
 class CompileService {
  public:
   /// `workers` == 0 picks the hardware concurrency (min 1).
@@ -91,10 +98,7 @@ class CompileService {
   /// This is forEach over compile().
   BatchResult compileBatch(const std::vector<CompileJob>& jobs) const;
 
-  /// One job on the calling thread: through the attached cache (key on
-  /// this thread, then getOrCompute, single-flighted) or straight through
-  /// runContainedJob when none is attached. `wasHit`, when non-null, says
-  /// whether the result came from the cache — and so carries no IR.
+  /// runCachedJob through the attached cache, if any.
   CompileResult compile(const CompileJob& job, bool* wasHit = nullptr) const;
 
   /// Runs task(0) .. task(n-1) on the service's workers and returns once

@@ -431,13 +431,7 @@ struct ServiceDaemon::Impl {
     CompileResult result;
     bool hit = false;
     auto task = [this, &job, &result, &hit, conn] {
-      const auto c = currentCache();
-      if (c) {
-        const std::string key = computeCacheKey(job.source, job.options);
-        result = c->getOrCompute(key, job.options, [&] { return runContainedJob(job); }, &hit);
-      } else {
-        result = runContainedJob(job);
-      }
+      result = runCachedJob(job, currentCache().get(), &hit);
       release(*conn);
     };
     pool->submit(std::move(task)).get();
@@ -598,14 +592,7 @@ struct ServiceDaemon::Impl {
       pending.emplace_back(i, pool->submit([this, conn, &jobs, &slots, i] {
         auto& slot = slots[i];
         WallTimer jobTimer;
-        const auto c = currentCache();
-        if (c) {
-          const std::string key = computeCacheKey(jobs[i].source, jobs[i].options);
-          slot.result = c->getOrCompute(key, jobs[i].options,
-                                        [&] { return runContainedJob(jobs[i]); }, &slot.cached);
-        } else {
-          slot.result = runContainedJob(jobs[i]);
-        }
+        slot.result = runCachedJob(jobs[i], currentCache().get(), &slot.cached);
         slot.serviceMs = jobTimer.elapsedMs();
         release(*conn);
       }));
