@@ -65,15 +65,6 @@ ValueRange ValueRange::mul(const ValueRange& b) const {
   return {lo, hi};
 }
 
-ValueRange ValueRange::divide(const ValueRange& b) const {
-  // Division magnitude never exceeds the dividend magnitude (divisor 0 is
-  // defined by the hardware convention to yield all-ones at result width,
-  // which the caller's convertTo() absorbs). Hull: [-|max|, |max|].
-  const Int m = std::max(hi_ < 0 ? -hi_ : hi_, lo_ < 0 ? -lo_ : lo_);
-  (void)b;
-  return {lo_ < 0 ? -m : Int{0}, m};
-}
-
 ValueRange ValueRange::rem(const ValueRange& b) const {
   // |a % b| < |b| and the sign follows the dividend; also |a % b| <= |a|.
   // If the divisor range contains 0 the hardware convention returns the

@@ -53,7 +53,6 @@ class ValueRange {
   ValueRange add(const ValueRange& b) const { return {lo_ + b.lo_, hi_ + b.hi_}; }
   ValueRange sub(const ValueRange& b) const { return {lo_ - b.hi_, hi_ - b.lo_}; }
   ValueRange mul(const ValueRange& b) const;
-  ValueRange divide(const ValueRange& b) const;
   ValueRange rem(const ValueRange& b) const;
   ValueRange neg() const { return {-hi_, -lo_}; }
   ValueRange shl(const ValueRange& sh) const;
